@@ -22,7 +22,6 @@ from goldbachkit import (
     gy_lemma_diagnostic,
     minor_arc_l2,
     psi1_explicit,
-    psij_explicit,
     residual_report,
     sk_prefix,
 )
@@ -51,11 +50,6 @@ def main() -> int:
     for x in (100.0, 1000.0, 10_000.0):
         formula, direct = psi1_explicit(zeros, sieve, x)
         fixtures["psi1_explicit"][str(int(x))] = abs(formula - direct) / x
-
-    fixtures["psij_explicit"] = {}
-    for j in (2, 3):
-        formula, direct = psij_explicit(zeros, sieve, j, 1000.0)
-        fixtures["psij_explicit"][f"j{j}_x1000"] = abs(formula - direct) / 1000.0**j
 
     fixtures["gy_ratio"] = {}
     for key, h in (("X256_h1", 1.0), ("X256_h16", 16.0)):

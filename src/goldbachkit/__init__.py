@@ -7,7 +7,7 @@ checks, circle-method diagnostics on |z| = 1 - 1/N, exact combinatorial
 identity verification, and the primorial lower-bound construction.
 """
 
-from .accum import exact_sum, max_discrepancy, within_tolerance
+from .accum import exact_sum, max_discrepancy
 from .circle import (
     ArcClassification,
     CircleGrid,
@@ -55,7 +55,7 @@ from .mangoldt import (
     PsiJQuery,
     build_mangoldt,
     chebyshev_psi,
-    euler_phi,
+    distinct_prime_factors,
     phi_of_int,
     primes_up_to,
     primorial,

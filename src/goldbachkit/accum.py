@@ -95,30 +95,18 @@ def riesz_integral(coeffs: np.ndarray, j: int, x: float) -> float:
     return math.fsum(terms) / math.factorial(j + 1)
 
 
-def within_tolerance(a, b, rel: float = 1e-9, abs_floor: float = 1e-12,
-                     scale: float | None = None) -> bool:
-    """Elementwise |a-b| <= max(rel * max(|a|,|b|), floor) comparison.
-
-    ``scale`` widens the absolute floor to abs_floor * max(1, scale); FFT
-    round-off is proportional to the transform's total energy rather than
-    to individual entries, so comparisons against structurally-zero entries
-    of a large table must use the table's magnitude as the floor scale.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    floor = abs_floor * max(1.0, scale if scale is not None else 0.0)
-    tol = np.maximum(rel * np.maximum(np.abs(a), np.abs(b)), floor)
-    return bool(np.all(np.abs(a - b) <= tol))
-
-
 def max_discrepancy(a, b, rel: float = 1e-9, abs_floor: float = 1e-12,
                     scale: float | None = None) -> float:
-    """Largest elementwise discrepancy under the same floor policy.
+    """Largest elementwise |a-b| / max(|a|, |b|, floor/rel).
 
-    Calibrated so that ``max_discrepancy(a, b, rel, ...) <= rel`` holds
-    exactly when every element satisfies within_tolerance: entries whose
+    The floor is abs_floor * max(1, scale).  Calibrated so that
+    ``max_discrepancy(a, b, rel, ...) <= rel`` holds exactly when every
+    element satisfies |a-b| <= max(rel * max(|a|,|b|), floor): entries whose
     magnitudes sit below floor/rel are measured against the floor rather
-    than against themselves.
+    than against themselves.  FFT round-off is proportional to the
+    transform's total energy rather than to individual entries, so
+    comparisons against structurally-zero entries of a large table pass the
+    table's magnitude as ``scale``.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)

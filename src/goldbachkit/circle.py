@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .accum import exact_sum, max_discrepancy
-from .goldbach import gk_fft, sk_prefix
+from .goldbach import DIRECT_ORACLE_CAP, gk_direct, gk_fft, sk_prefix
 from .identities import solve_ak
 from .mangoldt import MangoldtTable, chebyshev_psi
 
@@ -381,8 +381,8 @@ def minor_arc_l2(table: MangoldtTable, n: int) -> tuple[float, float]:
     The ratio against N log N is a monitored diagnostic, so the tail budget
     is set on that ratio: truncation may move it by at most
     MINOR_ARC_TAIL_BUDGET = 1e-5, i.e. the tail must be at most
-    1e-5 N log N.  A sieve too short for that budget raises ValueError
-    before anything is summed.
+    1e-5 N log N.  N < 2 (radius <= 0, N log N <= 0) and a sieve too short
+    for that budget raise ValueError before anything is summed.
 
     The tail bound: 0 <= Lambda(m) <= log m gives (Lambda(m)-1)^2 <=
     (log m + 1)^2, and log(L + j) <= log L + j/L, so the terms beyond L are
@@ -398,6 +398,8 @@ def minor_arc_l2(table: MangoldtTable, n: int) -> tuple[float, float]:
     Shorter sieves pass down to about 6.8N (N >= 128); N = 2000 on a 10^4
     sieve (L = 5N) is refused at 3.9e-4.
     """
+    if n < 2:
+        raise ValueError(f"need N >= 2 for a nondegenerate radius, got N = {n}")
     r = 1.0 - 1.0 / n
     limit = table.limit
     rho = r * r * math.exp(2.0 / limit)
@@ -429,11 +431,7 @@ def fz_powerseries_identity(table: MangoldtTable, k: int, n: int) -> float:
         raise ValueError(f"need k >= 2, got {k}")
     if n > table.limit:
         raise ValueError(f"{n} exceeds sieve limit {table.limit}")
-    base = table.values[: n + 1]
-    conv = base.copy()
-    for _ in range(k - 1):
-        conv = np.convolve(conv, base)[: n + 1]
-
+    conv = gk_direct(table, k, n, cap=max(n, DIRECT_ORACLE_CAP)).values
     fft_table = gk_fft(table, k, n)
     scale = float(np.max(np.abs(conv)))
     worst = max_discrepancy(conv, fft_table.values, scale=scale)

@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .accum import exact_sum, prefix_increment, running_prefix
-from .mangoldt import MangoldtTable, primes_up_to
+from .accum import prefix_increment, running_prefix, weighted_power_sum
+from .mangoldt import MangoldtTable, distinct_prime_factors, primes_up_to
 
 # Direct convolutions are O(k N^2); beyond this cap callers must opt in.
 DIRECT_ORACLE_CAP = 8192
@@ -91,6 +91,20 @@ def _check_build_args(table: MangoldtTable, k: int, limit: int) -> None:
         raise ValueError(f"need a positive limit, got {limit}")
 
 
+def _convolution_power(base: np.ndarray, k: int, length: int) -> np.ndarray:
+    """k-fold direct convolution of ``base`` with itself, first ``length`` terms.
+
+    ``base`` is zero-padded to ``length`` and every stage is truncated
+    there: indices only add up under convolution, so terms beyond the
+    truncation can never fall back into range.
+    """
+    out = np.zeros(length)
+    out[: len(base)] = base[:length]
+    for _ in range(k - 1):
+        out = np.convolve(out, base)[:length]
+    return out
+
+
 def gk_direct(table: MangoldtTable, k: int, limit: int,
               cap: int = DIRECT_ORACLE_CAP) -> GoldbachTable:
     """G_k by k-1 successive exact direct convolutions (the oracle route).
@@ -103,10 +117,7 @@ def gk_direct(table: MangoldtTable, k: int, limit: int,
         raise ValueError(
             f"direct oracle capped at {cap} (O(k N^2)); requested {limit}"
         )
-    base = table.values[: limit + 1]
-    out = base.copy()
-    for _ in range(k - 1):
-        out = np.convolve(out, base)[: limit + 1]
+    out = _convolution_power(table.values[: limit + 1], k, limit + 1)
     return GoldbachTable(k=k, limit=limit, values=out, method="direct")
 
 
@@ -154,11 +165,7 @@ def bk_truncated(table: MangoldtTable, k: int, n: int, x: float) -> float:
     cap = min(int(math.floor(x)), n)
     base = np.zeros(cap + 1)
     base[1:] = table.values[1 : cap + 1] - 1.0
-    out = base.copy() if n <= cap else np.concatenate([base, np.zeros(n - cap)])
-    out = out[: n + 1]
-    for _ in range(k - 1):
-        out = np.convolve(out, base)[: n + 1]
-    return float(out[n])
+    return float(_convolution_power(base, k, n + 1)[n])
 
 
 def bk_decomposition_check(table: MangoldtTable, k: int, n: int) -> tuple[float, float]:
@@ -205,27 +212,7 @@ def riesz_T(j: int, x: float, table: GoldbachTable) -> float:
         raise ValueError(f"need j >= 0, got {j}")
     if x > table.limit:
         raise ValueError(f"{x} exceeds table limit {table.limit}")
-    m = int(math.floor(x))
-    if m < 1:
-        return 0.0
-    n = np.arange(1, m + 1, dtype=np.float64)
-    terms = table.values[1 : m + 1] * (x - n) ** j
-    return exact_sum(terms) / math.factorial(j)
-
-
-def _factor_distinct_primes(n: int) -> list[int]:
-    out = []
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            out.append(p)
-            while m % p == 0:
-                m //= p
-        p += 1
-    if m > 1:
-        out.append(m)
-    return out
+    return weighted_power_sum(table.values, x, j) / math.factorial(j)
 
 
 def singular_series(query: SingularSeriesQuery) -> tuple[float, float]:
@@ -241,7 +228,7 @@ def singular_series(query: SingularSeriesQuery) -> tuple[float, float]:
     |true - truncated| <= |truncated| * expm1(of that).
     """
     k, n, cutoff = query.k, query.n, query.prime_cutoff
-    divisors = set(_factor_distinct_primes(n))
+    divisors = set(distinct_prime_factors(n))
     factors: list[float] = []
     for p in primes_up_to(int(math.floor(cutoff))):
         p = int(p)

@@ -1,13 +1,12 @@
 """Exact integer verification of the combinatorial identities.
 
-Everything here runs in arbitrary-precision integer (or exact rational)
-arithmetic: alternating binomial sums, the f_{k,i} family and its
-recurrence, the partial-fraction coefficient solve whose top coefficient
-is k!, and the hockey-stick identity.  No floats anywhere.
+Everything here runs in arbitrary-precision integer arithmetic:
+alternating binomial sums, the f_{k,i} family and its recurrence, the
+partial-fraction coefficients a_j in closed form through f_{i,k} (the top
+one is k!), and the hockey-stick identity.  No floats anywhere.
 """
 
 import math
-from fractions import Fraction
 
 
 def f_ki(k: int, i: int) -> int:
@@ -28,39 +27,23 @@ def verify_fki_recurrence(k: int, i: int) -> bool:
 
 
 def solve_ak(k: int) -> list[int]:
-    """Coefficients a_0..a_k with sum_j C(n+j, j) a_j = n^k for n = 0..k.
+    """Coefficients a_0..a_k with sum_j C(n+j, j) a_j = n^k for all n >= 0.
 
-    Solved in exact rational arithmetic; the solution is integral (checked,
-    failure raises) and its leading coefficient equals k!.  Because both
-    sides are degree-k polynomials in n agreeing at k+1 points, the
-    identity automatically extends to every nonnegative integer n.
+    Closed form a_j = sum_{i=max(j,1)}^{k} (-1)^(i-j) C(i,j) f_{i,k}.  It
+    follows from n^k = sum_i f_{i,k} C(n,i) (f_{i,k} = i! S(k,i), S the
+    Stirling numbers of the second kind) and C(n,i) = sum_j (-1)^(i-j)
+    C(i,j) C(n+j,j).  The a_j are the coefficients in sum_m m^k z^m =
+    sum_j a_j (1-z)^(-j-1); the leading one is a_k = f_{k,k} = k!.
     """
     if k < 1:
         raise ValueError("need k >= 1")
-    size = k + 1
-    rows = [
-        [Fraction(math.comb(n + j, j)) for j in range(size)] + [Fraction(n**k)]
-        for n in range(size)
+    return [
+        sum(
+            (-1) ** (i - j) * math.comb(i, j) * f_ki(i, k)
+            for i in range(max(j, 1), k + 1)
+        )
+        for j in range(k + 1)
     ]
-    # Gaussian elimination, exact.
-    for col in range(size):
-        pivot = next(r for r in range(col, size) if rows[r][col] != 0)
-        rows[col], rows[pivot] = rows[pivot], rows[col]
-        inv = Fraction(1) / rows[col][col]
-        rows[col] = [v * inv for v in rows[col]]
-        for r in range(size):
-            if r != col and rows[r][col] != 0:
-                factor = rows[r][col]
-                rows[r] = [v - factor * w for v, w in zip(rows[r], rows[col])]
-    coeffs = []
-    for j in range(size):
-        value = rows[j][size]
-        if value.denominator != 1:
-            raise ArithmeticError(f"non-integral coefficient a_{j} = {value}")
-        coeffs.append(int(value))
-    if coeffs[k] != math.factorial(k):
-        raise ArithmeticError(f"leading coefficient {coeffs[k]} != {k}!")
-    return coeffs
 
 
 def alternating_sums(k: int) -> tuple[int, int]:
@@ -132,9 +115,10 @@ def run_identity_suite(kmax: int = 25) -> list[tuple[str, bool]]:
     results.append((
         "hockey stick",
         all(
-            hockey_stick(i, m)[0] == hockey_stick(i, m)[1]
-            for i in range(1, kmax + 1)
-            for m in range(0, 26)
+            lhs == rhs
+            for lhs, rhs in (
+                hockey_stick(i, m) for i in range(1, kmax + 1) for m in range(0, 26)
+            )
         ),
     ))
     return results

@@ -1,9 +1,10 @@
 """Sieve-based arithmetic substrate.
 
-Builds von Mangoldt tables Lambda(n) with a linear smallest-prime-factor
-sieve, and evaluates the Chebyshev-type sums every other module feeds on:
+Builds von Mangoldt tables Lambda(n) from one Eratosthenes prime sieve,
+and evaluates the Chebyshev-type sums every other module feeds on:
 psi(x), the Riesz means psi_j(x) = (1/j!) sum_{n<=x} Lambda(n)(x-n)^j,
-restricted sums over arithmetic progressions, and exact primorials.
+restricted sums over arithmetic progressions, exact primorials, and the
+integer factoring and Euler phi of a plain modulus.
 
 Tables are immutable after construction (the value arrays are marked
 read-only), so concurrent readers are always safe.
@@ -87,26 +88,15 @@ def primes_up_to(limit: int) -> np.ndarray:
 def build_mangoldt(limit: int) -> MangoldtTable:
     """Sieve Lambda(n) for n <= limit.
 
-    Linear smallest-prime-factor sieve: each composite is crossed exactly
-    once, so the prime list is exact; prime powers are then post-marked by
-    walking p, p^2, p^3, ... for each prime.  Runs in O(limit).
+    The primes come from primes_up_to; each prime p writes math.log(p) at
+    p, p^2, p^3, ... <= limit.
 
     Raises ValueError for limit < 2.
     """
     if limit < 2:
         raise ValueError(f"sieve limit must be >= 2, got {limit}")
-    spf = np.zeros(limit + 1, dtype=np.int64)
-    primes: list[int] = []
-    for i in range(2, limit + 1):
-        if spf[i] == 0:
-            spf[i] = i
-            primes.append(i)
-        for p in primes:
-            if p > spf[i] or i * p > limit:
-                break
-            spf[i * p] = p
     values = np.zeros(limit + 1)
-    for p in primes:
+    for p in primes_up_to(limit).tolist():
         logp = math.log(p)
         q = p
         while q <= limit:
@@ -197,29 +187,29 @@ def primorial(y: float) -> Primorial:
     return Primorial(primes=tuple(int(p) for p in ps))
 
 
-def euler_phi(q) -> int:
-    """phi of a factored squarefree integer (Primorial or distinct primes)."""
-    if isinstance(q, Primorial):
-        return q.phi
-    result = 1
-    for p in q:
-        result *= p - 1
-    return result
-
-
-def phi_of_int(q: int) -> int:
-    """phi(q) for a plain integer modulus, by trial-division factoring."""
-    if q < 1:
-        raise ValueError(f"modulus must be >= 1, got {q}")
-    result = q
-    m = q
+def distinct_prime_factors(n: int) -> list[int]:
+    """The distinct primes dividing n >= 1, ascending, by trial division."""
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+    out = []
+    m = n
     p = 2
     while p * p <= m:
         if m % p == 0:
-            result -= result // p
+            out.append(p)
             while m % p == 0:
                 m //= p
         p += 1
     if m > 1:
-        result -= result // m
+        out.append(m)
+    return out
+
+
+def phi_of_int(q: int) -> int:
+    """phi(q) for a plain integer modulus, from its distinct prime factors."""
+    if q < 1:
+        raise ValueError(f"modulus must be >= 1, got {q}")
+    result = q
+    for p in distinct_prime_factors(q):
+        result -= result // p
     return result

@@ -124,6 +124,18 @@ def _power_term(x: float, k: int, gamma: float) -> complex:
     return x ** (k - 0.5) * complex(math.cos(phase), math.sin(phase))
 
 
+def _zero_sum(zeros: ZeroTable, k: int, x: float) -> float:
+    """sum over the table of 2 Re[X^(rho+k-1) / (rho (rho+1) ... (rho+k-1))].
+
+    Correctly rounded (fsum), so independent of the term order; an empty
+    table gives 0.0.
+    """
+    return math.fsum(
+        2.0 * (_power_term(x, k, g) / _denominator(g, k)).real
+        for g in zeros.ordinates
+    )
+
+
 def hk_zero_sum(zeros: ZeroTable, k: int, x: float) -> tuple[float, float]:
     """(truncated H_k(x), tail estimate for the ordinates beyond the table).
 
@@ -142,11 +154,7 @@ def hk_zero_sum(zeros: ZeroTable, k: int, x: float) -> tuple[float, float]:
         raise ValueError(f"need x >= k, got x = {x}")
     if len(zeros) == 0:
         raise ValueError("empty zero table")
-    terms = [
-        2.0 * (_power_term(x, k, g) / _denominator(g, k)).real
-        for g in zeros.ordinates
-    ]
-    value = -k * math.fsum(terms)
+    value = -k * _zero_sum(zeros, k, x)
 
     bound = (2.0 * k / math.factorial(k - 1)) * x ** (k - 0.5) * zeros.inverse_square_sum()
     if abs(value) > bound * (1.0 + 1e-9):
@@ -196,11 +204,7 @@ def psi1_explicit(zeros: ZeroTable, table: MangoldtTable, x: float) -> tuple[flo
     """
     if x < 2:
         raise ValueError(f"need x >= 2, got {x}")
-    terms = [
-        2.0 * (_power_term(x, 2, g) / _denominator(g, 2)).real
-        for g in zeros.ordinates
-    ]
-    formula = x * x / 2.0 - math.fsum(terms) - ZETA_LOGDERIV_0 * x + ZETA_LOGDERIV_M1
+    formula = x * x / 2.0 - _zero_sum(zeros, 2, x) - ZETA_LOGDERIV_0 * x + ZETA_LOGDERIV_M1
     direct = riesz_psi_j(table, PsiJQuery(1, x))
     return formula, direct
 
@@ -216,11 +220,7 @@ def psij_explicit(zeros: ZeroTable, table: MangoldtTable, j: int, x: float) -> t
     """
     if j < 1:
         raise ValueError(f"need j >= 1, got {j}")
-    terms = [
-        2.0 * (_power_term(x, j + 1, g) / _denominator(g, j + 1)).real
-        for g in zeros.ordinates
-    ]
-    formula = x ** (j + 1) / math.factorial(j + 1) - math.fsum(terms)
+    formula = x ** (j + 1) / math.factorial(j + 1) - _zero_sum(zeros, j + 1, x)
     direct = riesz_psi_j(table, PsiJQuery(j, x))
     return formula, direct
 

@@ -277,6 +277,10 @@ def test_minor_arc_small_radius_dominated_by_first_term(sieve_10k):
 def test_minor_arc_requires_margin(sieve_10k):
     with pytest.raises(ValueError):
         minor_arc_l2(sieve_10k, 2000)
+    # a degenerate radius 1 - 1/N <= 0 is refused by name, not summed
+    for n in (1, 0, -3):
+        with pytest.raises(ValueError, match=f"N = {n}$"):
+            minor_arc_l2(sieve_10k, n)
 
 
 def test_fz_identity(sieve_10k):

@@ -7,7 +7,7 @@ from goldbachkit import (
     PsiJQuery,
     build_mangoldt,
     chebyshev_psi,
-    euler_phi,
+    distinct_prime_factors,
     phi_of_int,
     primorial,
     psi_integral_check,
@@ -35,6 +35,11 @@ def test_sieve_matches_trial_division(sieve_10k):
     # exact equality: both routes store math.log of the same base prime
     for n in range(1, 10_001):
         assert sieve_10k.values[n] == lambda_by_trial_division(n), n
+    # limits whose top entry is a prime power or a square, so the prime
+    # sieve's isqrt cut and the last prime-power step land on the limit
+    for limit in (2, 3, 4, 8, 9, 25, 27, 121, 1 << 10):
+        expected = [lambda_by_trial_division(n) for n in range(limit + 1)]
+        assert build_mangoldt(limit).values.tolist() == expected, limit
 
 
 def test_prime_power_shares_prime_value(sieve_10k):
@@ -173,9 +178,9 @@ def test_progression_partition(sieve_10k, q):
 
 def test_primorial_examples():
     assert primorial(3).value == 2
-    assert euler_phi(primorial(3)) == 1
+    assert primorial(3).phi == 1
     assert primorial(11).value == 210
-    assert euler_phi(primorial(11)) == 48
+    assert primorial(11).phi == 48
     assert primorial(20).value == 9699690
     with pytest.raises(ValueError):
         primorial(1.5)
@@ -194,3 +199,13 @@ def test_phi_of_int_matches_brute():
 
     for q in range(1, 200):
         assert phi_of_int(q) == brute(q)
+
+
+def test_distinct_prime_factors_matches_brute():
+    for n in range(1, 300):
+        brute = [p for p in range(2, n + 1) if n % p == 0 and _is_prime(p)]
+        assert distinct_prime_factors(n) == brute, n
+    assert distinct_prime_factors(30030) == [2, 3, 5, 7, 11, 13]
+    assert distinct_prime_factors(2 * 999983) == [2, 999983]
+    with pytest.raises(ValueError):
+        distinct_prime_factors(0)
