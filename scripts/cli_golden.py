@@ -43,6 +43,7 @@ COMMANDS = [
      ["gk.direct.csv", "gk.fft.csv"]),
     ("gk-k3-fft-file",
      ["gk", "--k", "3", "--limit", "2000", "--output", "g3.csv"], ["g3.csv"]),
+    ("gk-k2-both-2048", ["gk", "--k", "2", "--limit", "2048", "--method", "both"], []),
     ("gk-direct-cap", ["gk", "--k", "2", "--limit", "100000", "--method", "direct"], []),
     ("sk-k2-fft", ["sk", "--k", "2", "--limit", "2000"], []),
     ("sk-k3-direct", ["sk", "--k", "3", "--limit", "800", "--method", "direct"], []),

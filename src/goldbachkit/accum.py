@@ -29,22 +29,29 @@ def running_prefix(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     better than double precision.  Keeping the compensation term per index
     lets callers reconstruct adjacent differences without the catastrophic
     cancellation a plain float64 cumsum would suffer at large magnitudes.
+
+    ``hi`` is the sequential float64 cumsum and ``lo`` the cumsum of the
+    TwoSum errors of its steps (Neumaier 1974; Ogita, Rump and Oishi 2005),
+    so both are bit-identical to the scalar loop ``t = s + v``,
+    ``c += (s - t) + v`` if |s| >= |v| else ``(v - t) + s``, ``s = t``
+    started from s = c = 0.0.
     """
-    n = len(values)
-    hi = np.empty(n)
-    lo = np.empty(n)
-    s = 0.0
-    c = 0.0
-    for i in range(n):
-        v = float(values[i])
-        t = s + v
-        if abs(s) >= abs(v):
-            c += (s - t) + v
-        else:
-            c += (v - t) + s
-        s = t
-        hi[i] = s
-        lo[i] = c
+    values = np.asarray(values, dtype=np.float64)
+    # A float sum is -0.0 only when both terms are, so a cumsum holds -0.0
+    # exactly over a leading run of -0.0 inputs; the loop starts from +0.0
+    # and gives +0.0 there, which ``+= 0.0`` restores (it changes nothing
+    # else).  The same holds for lo.
+    hi = np.cumsum(values)
+    hi += 0.0
+    prev = np.empty_like(hi)
+    prev[:1] = 0.0
+    prev[1:] = hi[:-1]
+    prev_larger = np.abs(prev) >= np.abs(values)
+    err = np.where(prev_larger, prev, values)
+    err -= hi
+    err += np.where(prev_larger, values, prev)
+    lo = np.cumsum(err)
+    lo += 0.0
     return hi, lo
 
 
