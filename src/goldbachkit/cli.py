@@ -94,6 +94,8 @@ def _cmd_sieve(args) -> int:
 
 
 def _build_tables(args, k: int, limit: int):
+    if args.method in ("fft", "both"):
+        goldbach.gk_fft_length(k, limit)
     table = mangoldt.build_mangoldt(limit)
     built = {}
     if args.method in ("direct", "both"):
@@ -152,6 +154,7 @@ def _cmd_residual(args) -> int:
     if grid[-1] > args.limit:
         raise CliError(f"grid point {grid[-1]} exceeds sieve limit {args.limit}")
     zero_table = _resolve_zero_table(args.zeros)
+    goldbach.gk_fft_length(args.k, args.limit)
     sieve = mangoldt.build_mangoldt(args.limit)
     gtable = goldbach.gk_fft(sieve, args.k, args.limit)
     prefix = goldbach.sk_prefix(gtable)
@@ -214,6 +217,8 @@ def _cmd_omega_scan(args) -> int:
     k = args.k
     x_max = grid[-1]
     limit = 2 * k * x_max
+    for level in range(2, k + 1):
+        goldbach.gk_fft_length(level, 2 * level * x_max)
     sieve = mangoldt.build_mangoldt(limit)
     gtables = {
         level: goldbach.gk_fft(sieve, level, 2 * level * x_max)

@@ -23,6 +23,32 @@ DIRECT_ORACLE_CAP = 8192
 # than swapping the machine to death.
 _MAX_FFT_LEN = 1 << 27
 
+
+def _five_smooth_ceil(n: int) -> int:
+    """Smallest 2^a 3^b 5^c >= n; numpy's pocketfft is fast at these lengths."""
+    best = 1 << max(n - 1, 0).bit_length()
+    odd5 = 1
+    while odd5 < best:
+        odd = odd5
+        while odd < best:
+            # the smallest odd * 2^a >= n
+            best = min(best, odd << max(-(-n // odd) - 1, 0).bit_length())
+            odd *= 3
+        odd5 *= 5
+    return best
+
+
+def gk_fft_length(k: int, limit: int) -> int:
+    """Transform length gk_fft uses for G_k up to ``limit``.
+
+    Raises ValueError when it exceeds the supported size, so callers can
+    refuse a request before they sieve for it.
+    """
+    pad = _five_smooth_ceil(k * limit + 1)
+    if pad > _MAX_FFT_LEN:
+        raise ValueError(f"FFT padding {pad} exceeds supported size {_MAX_FFT_LEN}")
+    return pad
+
 DEFAULT_PRIME_CUTOFF = 1e5
 
 
@@ -125,16 +151,13 @@ def gk_fft(table: MangoldtTable, k: int, limit: int) -> GoldbachTable:
     """G_k via a real-input FFT power, zero-padded past any wraparound.
 
     The k-fold convolution of coefficients supported on [2, N] (Lambda(1)
-    = 0) is supported on [2k, kN]; padding to the next power of two
-    >= kN + 1 makes the cyclic convolution agree with the linear one
-    exactly.  The transform leaves round-off in the structural zeros
-    n < 2k, so those entries are set to exactly 0.
+    = 0) is supported on [2k, kN]; padding to the smallest 5-smooth length
+    2^a 3^b 5^c >= kN + 1 (``gk_fft_length``) makes the cyclic convolution
+    agree with the linear one exactly.  The transform leaves round-off in
+    the structural zeros n < 2k, so those entries are set to exactly 0.
     """
     _check_build_args(table, k, limit)
-    needed = k * limit + 1
-    pad = 1 << needed.bit_length()
-    if pad > _MAX_FFT_LEN:
-        raise ValueError(f"FFT padding {pad} exceeds supported size {_MAX_FFT_LEN}")
+    pad = gk_fft_length(k, limit)
     spectrum = np.fft.rfft(table.values[: limit + 1], pad)
     values = np.fft.irfft(spectrum**k, pad)[: limit + 1].copy()
     values[: 2 * k] = 0.0

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from goldbachkit import mangoldt
 from goldbachkit.cli import main
 
 
@@ -55,6 +56,26 @@ def test_gk_direct_cap(capsys):
                            "--method", "direct")
     assert code == 1
     assert "capped" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("gk", "--k", "16", "--limit", "8388608"),
+    ("sk", "--k", "16", "--limit", "8388608"),
+    ("residual", "--k", "16", "--limit", "8388608", "--grid", "2:4:2"),
+    ("omega-scan", "--k", "16", "--x-grid", "300000:300000:2"),
+])
+def test_fft_size_refused_before_sieving(monkeypatch, capsys, argv):
+    sieved = []
+
+    def refuse(limit):
+        sieved.append(limit)
+        raise MemoryError(f"sieved to {limit} before checking the FFT size")
+
+    monkeypatch.setattr(mangoldt, "build_mangoldt", refuse)
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert "exceeds supported size" in err
+    assert sieved == []
 
 
 def test_sk_output(tmp_path, capsys):

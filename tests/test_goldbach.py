@@ -18,6 +18,7 @@ from goldbachkit import (
     write_goldbach_csv,
 )
 from goldbachkit.accum import riesz_integral
+from goldbachkit.goldbach import _five_smooth_ceil, gk_fft_length
 
 LOG2 = math.log(2)
 LOG3 = math.log(3)
@@ -83,13 +84,35 @@ def test_gk_zero_below_k(sieve_10k):
         assert np.all(table.values >= 0.0)
 
 
+# kN + 1 just past a power of two, where the 5-smooth length is furthest
+# below the next power of two
+PAST_POWER_OF_TWO = {2: 2048, 3: 1366, 4: 1024}
+
+
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_fft_matches_direct(sieve_10k, k):
-    n = 256
-    direct = gk_direct(sieve_10k, k, n)
-    fft = gk_fft(sieve_10k, k, n)
-    scale = float(np.max(direct.values))
-    assert max_discrepancy(direct.values, fft.values, scale=scale) <= 1e-9
+    for n in (256, PAST_POWER_OF_TWO[k]):
+        direct = gk_direct(sieve_10k, k, n)
+        fft = gk_fft(sieve_10k, k, n)
+        scale = float(np.max(direct.values))
+        assert max_discrepancy(direct.values, fft.values, scale=scale) <= 1e-9, n
+
+
+def _is_five_smooth(m):
+    for p in (2, 3, 5):
+        while m % p == 0:
+            m //= p
+    return m == 1
+
+
+def test_fft_length_is_smallest_five_smooth():
+    for n in range(1, 5001):
+        length = _five_smooth_ceil(n)
+        assert length >= n and _is_five_smooth(length), n
+        assert not any(_is_five_smooth(m) for m in range(n, length)), n
+    assert gk_fft_length(2, 1 << 21) == 4_199_040  # 2 * 2^21 + 1 pads to 2^23 as a power of two
+    with pytest.raises(ValueError, match="exceeds supported size"):
+        gk_fft_length(16, 1 << 23)
 
 
 def test_fft_small_table_zero_entry(sieve_10k):
