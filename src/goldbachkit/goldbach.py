@@ -27,14 +27,14 @@ _MAX_FFT_LEN = 1 << 27
 def _five_smooth_ceil(n: int) -> int:
     """Smallest 2^a 3^b 5^c >= n; numpy's pocketfft is fast at these lengths."""
     best = 1 << max(n - 1, 0).bit_length()
-    odd5 = 1
-    while odd5 < best:
-        odd = odd5
+    power5 = 1
+    while power5 < best:
+        odd = power5
         while odd < best:
-            # the smallest odd * 2^a >= n
+            # odd = 3^b 5^c; the smallest odd * 2^a >= n
             best = min(best, odd << max(-(-n // odd) - 1, 0).bit_length())
             odd *= 3
-        odd5 *= 5
+        power5 *= 5
     return best
 
 
@@ -48,6 +48,7 @@ def gk_fft_length(k: int, limit: int) -> int:
     if pad > _MAX_FFT_LEN:
         raise ValueError(f"FFT padding {pad} exceeds supported size {_MAX_FFT_LEN}")
     return pad
+
 
 DEFAULT_PRIME_CUTOFF = 1e5
 
