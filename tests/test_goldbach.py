@@ -110,7 +110,7 @@ def test_fft_length_is_smallest_five_smooth():
         length = _five_smooth_ceil(n)
         assert length >= n and _is_five_smooth(length), n
         assert not any(_is_five_smooth(m) for m in range(n, length)), n
-    assert gk_fft_length(2, 1 << 21) == 4_199_040  # 2 * 2^21 + 1 pads to 2^23 as a power of two
+    assert gk_fft_length(2, 1 << 21) == 4_199_040  # 2^7 3^8 5, just over half of 2^23
     with pytest.raises(ValueError, match="exceeds supported size"):
         gk_fft_length(16, 1 << 23)
 
