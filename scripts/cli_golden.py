@@ -57,6 +57,11 @@ COMMANDS = [
     ("circle-check-k3-file",
      ["circle-check", "--n", "300", "--k", "3", "--delta", "0.3", "--output", "circle.json"],
      ["circle.json"]),
+    ("circle-check-nodes",
+     ["circle-check", "--n", "500", "--nodes", "2000", "--arc-csv", "arc.csv"], ["arc.csv"]),
+    ("omega-scan-k2",
+     ["omega-scan", "--k", "2", "--x-grid", "64:1024:2", "--output", "chain.csv",
+      "--maxg-output", "maxg.csv"], ["chain.csv", "maxg.csv"]),
     ("omega-scan-k3",
      ["omega-scan", "--k", "3", "--x-grid", "64:512:2", "--output", "chain.csv",
       "--maxg-output", "maxg.csv"], ["chain.csv", "maxg.csv"]),
