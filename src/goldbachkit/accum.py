@@ -102,13 +102,12 @@ def riesz_integral(coeffs: np.ndarray, j: int, x: float) -> float:
     return math.fsum(terms) / math.factorial(j + 1)
 
 
-def max_discrepancy(a, b, rel: float = 1e-9, abs_floor: float = 1e-12,
-                    scale: float | None = None) -> float:
-    """Largest elementwise |a-b| / max(|a|, |b|, floor/rel).
+def max_discrepancy(a, b, scale: float | None = None) -> float:
+    """Largest elementwise |a-b| / max(|a|, |b|, floor/rel), rel = 1e-9.
 
-    The floor is abs_floor * max(1, scale).  Calibrated so that
-    ``max_discrepancy(a, b, rel, ...) <= rel`` holds exactly when every
-    element satisfies |a-b| <= max(rel * max(|a|,|b|), floor): entries whose
+    The floor is 1e-12 * max(1, scale).  Calibrated so that
+    ``max_discrepancy(a, b) <= 1e-9`` holds exactly when every element
+    satisfies |a-b| <= max(1e-9 * max(|a|,|b|), floor): entries whose
     magnitudes sit below floor/rel are measured against the floor rather
     than against themselves.  FFT round-off is proportional to the
     transform's total energy rather than to individual entries, so
@@ -117,6 +116,6 @@ def max_discrepancy(a, b, rel: float = 1e-9, abs_floor: float = 1e-12,
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    floor = abs_floor * max(1.0, scale if scale is not None else 0.0)
-    denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), floor / rel)
+    floor = 1e-12 * max(1.0, scale if scale is not None else 0.0)
+    denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), floor / 1e-9)
     return float(np.max(np.abs(a - b) / denom))

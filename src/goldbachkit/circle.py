@@ -139,21 +139,20 @@ def expected_value_E(table: MangoldtTable, alpha: float, x: float) -> float:
     return math.fsum(pieces) / x
 
 
-def gy_lemma_diagnostic(table: MangoldtTable, x: float, h: float,
-                        min_nodes_per_h: int = 64) -> tuple[float, float]:
+def gy_lemma_diagnostic(table: MangoldtTable, x: float, h: float) -> tuple[float, float]:
     """Mean-square mass of S_0 near alpha = 0 against x log^2 x / h.
 
     Integrates E_x(|S_0|^2) over [-1/2h, 1/2h] by composite trapezoid with
-    at least 64 h nodes (and enough to resolve the 1/x oscillation scale
-    of the integrand).  The ratio of the two return values is a monitored
-    diagnostic; the implied constant is unknown, so nothing is asserted
-    here.
+    max(ceil(64 h), 16 ceil(x)) nodes: at least 64 per unit of h, and
+    enough to resolve the 1/x oscillation scale of the integrand.  The
+    ratio of the two return values is a monitored diagnostic; the implied
+    constant is unknown, so nothing is asserted here.
     """
     if not 1 <= h <= x:
         raise ValueError(f"need 1 <= h <= x, got h = {h}")
     if 2 * x > table.limit:
         raise ValueError(f"need 2x <= sieve limit, got 2x = {2 * x}")
-    nodes = max(int(math.ceil(min_nodes_per_h * h)), 16 * int(math.ceil(x)))
+    nodes = max(int(math.ceil(64 * h)), 16 * int(math.ceil(x)))
     alphas = np.linspace(-0.5 / h, 0.5 / h, nodes + 1)
     values = np.array([expected_value_E(table, float(a), x) for a in alphas])
     integral = float(np.trapezoid(values, alphas))
@@ -314,9 +313,8 @@ def lemma1_check(k: int, n: int, theta: float) -> Lemma1Result:
                         ratio=ratio, budget=budget)
 
 
-def arc_classify(n: int, k: int, delta: float,
-                 nodes: int | None = None) -> ArcClassification:
-    """Classify grid nodes as major (near z = 1) or minor.
+def arc_classify(n: int, k: int, delta: float) -> ArcClassification:
+    """Classify the 4N grid nodes as major (near z = 1) or minor.
 
     The analytic measure is the exact angular fraction with
     |1 - z| < N^(delta/(k+1) - 1), from |1-z|^2 = (1-R)^2 + 4R sin^2(pi theta).
@@ -325,7 +323,7 @@ def arc_classify(n: int, k: int, delta: float,
         raise ValueError(f"need 0 < delta < 1, got {delta}")
     if k < 2:
         raise ValueError(f"need k >= 2, got {k}")
-    grid = CircleGrid(n=n, nodes=nodes if nodes is not None else 4 * n)
+    grid = CircleGrid(n=n, nodes=4 * n)
     threshold = float(n) ** (delta / (k + 1) - 1.0)
     is_major = np.abs(1.0 - grid.z) < threshold
     r = grid.radius
@@ -350,14 +348,13 @@ def arc_classify(n: int, k: int, delta: float,
     )
 
 
-def arc_sweep(table: MangoldtTable, n: int, k: int, delta: float,
-              nodes: int | None = None):
-    """Rows (theta, Re F, Im F, |F|, arc class) over a classified grid.
+def arc_sweep(table: MangoldtTable, n: int, k: int, delta: float):
+    """Rows (theta, Re F, Im F, |F|, arc class) over arc_classify's 4N nodes.
 
     F is truncated at min(2N, sieve limit), matching the contour-recovery
     truncation.
     """
-    cls = arc_classify(n, k, delta, nodes)
+    cls = arc_classify(n, k, delta)
     terms = min(2 * n, table.limit)
     f_values = _f_on_grid(table, cls.grid, terms)
     rows = []

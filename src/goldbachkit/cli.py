@@ -93,16 +93,23 @@ def _cmd_sieve(args) -> int:
     return 0
 
 
-def _build_tables(args, k: int, limit: int):
-    if args.method in ("fft", "both"):
-        goldbach.gk_fft_length(k, limit)
-    table = mangoldt.build_mangoldt(limit)
-    built = {}
-    if args.method in ("direct", "both"):
-        built["direct"] = goldbach.gk_direct(table, k, limit)
-    if args.method in ("fft", "both"):
-        built["fft"] = goldbach.gk_fft(table, k, limit)
-    return built
+def _build_tables(sieve_limit: int, wanted):
+    """Sieve once, then build one G_k table per (method, k, limit) in ``wanted``.
+
+    Each request is checked, in order, before anything is sieved: a direct
+    one against the oracle's cap (a flag error), an FFT one by
+    gk_fft_length, so an oversized request allocates nothing.
+    """
+    for method, k, limit in wanted:
+        if method == "fft":
+            goldbach.gk_fft_length(k, limit)
+        elif limit > goldbach.DIRECT_ORACLE_CAP:
+            raise CliError(
+                f"direct method capped at {goldbach.DIRECT_ORACLE_CAP}; use --method fft"
+            )
+    sieve = mangoldt.build_mangoldt(sieve_limit)
+    build = {"direct": goldbach.gk_direct, "fft": goldbach.gk_fft}
+    return sieve, [build[method](sieve, k, limit) for method, k, limit in wanted]
 
 
 def _validate_k_limit(k: int, limit: int) -> None:
@@ -114,32 +121,29 @@ def _validate_k_limit(k: int, limit: int) -> None:
 
 def _cmd_gk(args) -> int:
     _validate_k_limit(args.k, args.limit)
-    if args.method in ("direct", "both") and args.limit > goldbach.DIRECT_ORACLE_CAP:
-        raise CliError(
-            f"direct method capped at {goldbach.DIRECT_ORACLE_CAP}; use --method fft"
-        )
-    built = _build_tables(args, args.k, args.limit)
+    methods = ("direct", "fft") if args.method == "both" else (args.method,)
+    _, tables = _build_tables(args.limit, [(m, args.k, args.limit) for m in methods])
     if args.method == "both":
-        scale = float(max(abs(built["direct"].values).max(), 1.0))
-        gap = max_discrepancy(built["direct"].values, built["fft"].values, scale=scale)
+        direct, fft = tables
+        scale = float(max(abs(direct.values).max(), 1.0))
+        gap = max_discrepancy(direct.values, fft.values, scale=scale)
         if args.output:
-            for name, tab in built.items():
-                with open(f"{args.output}.{name}.csv", "w", encoding="ascii") as out:
+            for tab in tables:
+                with open(f"{args.output}.{tab.method}.csv", "w", encoding="ascii") as out:
                     goldbach.write_goldbach_csv(tab, out)
         else:
-            for tab in built.values():
+            for tab in tables:
                 goldbach.write_goldbach_csv(tab, sys.stdout)
         print(f"max_discrepancy,{_fmt(gap)}")
     else:
         with _open_output(args.output) as out:
-            goldbach.write_goldbach_csv(built[args.method], out)
+            goldbach.write_goldbach_csv(tables[0], out)
     return 0
 
 
 def _cmd_sk(args) -> int:
     _validate_k_limit(args.k, args.limit)
-    built = _build_tables(args, args.k, args.limit)
-    table = built[args.method if args.method != "both" else "fft"]
+    _, (table,) = _build_tables(args.limit, [(args.method, args.k, args.limit)])
     prefix = goldbach.sk_prefix(table)
     with _open_output(args.output) as out:
         out.write("X,S_k\n")
@@ -151,12 +155,12 @@ def _cmd_sk(args) -> int:
 def _cmd_residual(args) -> int:
     _validate_k_limit(args.k, args.limit)
     grid = _parse_grid(args.grid)
+    if grid[0] < args.k:
+        raise CliError(f"grid point {grid[0]} below k = {args.k}")
     if grid[-1] > args.limit:
         raise CliError(f"grid point {grid[-1]} exceeds sieve limit {args.limit}")
     zero_table = _resolve_zero_table(args.zeros)
-    goldbach.gk_fft_length(args.k, args.limit)
-    sieve = mangoldt.build_mangoldt(args.limit)
-    gtable = goldbach.gk_fft(sieve, args.k, args.limit)
+    _, (gtable,) = _build_tables(args.limit, [("fft", args.k, args.limit)])
     prefix = goldbach.sk_prefix(gtable)
     report = zeros.residual_report(prefix, zero_table, grid, eps=args.eps)
     with _open_output(args.output) as out:
@@ -214,16 +218,14 @@ def _cmd_circle_check(args) -> int:
 
 def _cmd_omega_scan(args) -> int:
     grid = _parse_grid(args.x_grid)
+    if grid[0] < 2:
+        raise CliError(f"x-grid needs x >= 2, got {grid[0]}")
     k = args.k
     x_max = grid[-1]
-    limit = 2 * k * x_max
-    for level in range(2, k + 1):
-        goldbach.gk_fft_length(level, 2 * level * x_max)
-    sieve = mangoldt.build_mangoldt(limit)
-    gtables = {
-        level: goldbach.gk_fft(sieve, level, 2 * level * x_max)
-        for level in range(2, k + 1)
-    }
+    sieve, tables = _build_tables(
+        2 * k * x_max, [("fft", level, 2 * level * x_max) for level in range(2, k + 1)]
+    )
+    gtables = {table.k: table for table in tables}
     chain_rows = []
     maxg_rows = []
     for x in grid:
@@ -232,8 +234,7 @@ def _cmd_omega_scan(args) -> int:
         if q.value >= 2 * x:
             _log("warning", "omega-scan",
                  f"q={q.value} >= 2x={2 * x}: progression classes mostly empty")
-        report = omega.chain_check(sieve, {l: gtables[l] for l in range(2, k + 1)},
-                                   float(x), q.value)
+        report = omega.chain_check(sieve, gtables, float(x), q.value)
         for level in report.levels:
             chain_rows.append((x, report.q, report.phi_q, str(level.level),
                                level.min_lhs, level.rhs, level.margin))

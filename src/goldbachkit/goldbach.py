@@ -14,14 +14,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .accum import prefix_increment, running_prefix, weighted_power_sum
-from .mangoldt import MangoldtTable, distinct_prime_factors, primes_up_to
+from .mangoldt import MAX_TABLE_LEN, MangoldtTable, distinct_prime_factors, primes_up_to
 
 # Direct convolutions are O(k N^2); beyond this cap callers must opt in.
 DIRECT_ORACLE_CAP = 8192
-
-# The FFT path allocates the padded transform; refuse absurd sizes rather
-# than swapping the machine to death.
-_MAX_FFT_LEN = 1 << 27
 
 
 def _five_smooth_ceil(n: int) -> int:
@@ -41,12 +37,12 @@ def _five_smooth_ceil(n: int) -> int:
 def gk_fft_length(k: int, limit: int) -> int:
     """Transform length gk_fft uses for G_k up to ``limit``.
 
-    Raises ValueError when it exceeds the supported size, so callers can
-    refuse a request before they sieve for it.
+    Raises ValueError when it exceeds MAX_TABLE_LEN, so callers can refuse
+    a request before they sieve for it.
     """
     pad = _five_smooth_ceil(k * limit + 1)
-    if pad > _MAX_FFT_LEN:
-        raise ValueError(f"FFT padding {pad} exceeds supported size {_MAX_FFT_LEN}")
+    if pad > MAX_TABLE_LEN:
+        raise ValueError(f"FFT padding {pad} exceeds supported size {MAX_TABLE_LEN}")
     return pad
 
 

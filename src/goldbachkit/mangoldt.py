@@ -17,6 +17,11 @@ import numpy as np
 
 from .accum import exact_sum, riesz_integral, weighted_power_sum
 
+# Largest table, in entries, that the sieve and the G_k transforms allocate;
+# larger requests are refused up front rather than swapping the machine to
+# death.
+MAX_TABLE_LEN = 1 << 27
+
 
 @dataclass(frozen=True)
 class MangoldtTable:
@@ -74,9 +79,14 @@ class Primorial:
 
 
 def primes_up_to(limit: int) -> np.ndarray:
-    """All primes <= limit (ascending), by boolean Eratosthenes sieve."""
+    """All primes <= limit (ascending), by boolean Eratosthenes sieve.
+
+    Refuses (ValueError) a sieve longer than MAX_TABLE_LEN before allocating.
+    """
     if limit < 2:
         return np.array([], dtype=np.int64)
+    if limit + 1 > MAX_TABLE_LEN:
+        raise ValueError(f"sieve of {limit + 1} entries exceeds supported size {MAX_TABLE_LEN}")
     is_prime = np.ones(limit + 1, dtype=bool)
     is_prime[:2] = False
     for i in range(2, math.isqrt(limit) + 1):
@@ -91,12 +101,13 @@ def build_mangoldt(limit: int) -> MangoldtTable:
     The primes come from primes_up_to; each prime p writes math.log(p) at
     p, p^2, p^3, ... <= limit.
 
-    Raises ValueError for limit < 2.
+    Raises ValueError for limit < 2, and for a limit primes_up_to refuses.
     """
     if limit < 2:
         raise ValueError(f"sieve limit must be >= 2, got {limit}")
+    primes = primes_up_to(limit).tolist()
     values = np.zeros(limit + 1)
-    for p in primes_up_to(limit).tolist():
+    for p in primes:
         logp = math.log(p)
         q = p
         while q <= limit:

@@ -26,13 +26,7 @@ import numpy as np
 
 from .accum import exact_sum
 from .goldbach import GoldbachTable
-from .mangoldt import (
-    MangoldtTable,
-    Primorial,
-    phi_of_int,
-    primorial,
-    psi_progression,
-)
+from .mangoldt import MangoldtTable, Primorial, phi_of_int, primorial, psi_progression
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -104,17 +98,11 @@ def progression_bound_check(table: MangoldtTable, x: float, q: int) -> Progressi
         raise ValueError(f"need q >= 1, got {q}")
     phi_q = phi_of_int(q)
     bound = x / (2.0 * phi_q)
-    rows = []
-    for a in range(q):
-        if q > 1 and math.gcd(a, q) != 1:
-            continue
-        rows.append(ProgressionRow(
-            residue=a,
-            psi_value=psi_progression(table, 2 * x, q, a),
-            bound=bound,
-        ))
-    return ProgressionReport(x=x, q=q, phi_q=phi_q, rows=tuple(rows),
-                             vacuous=q >= 2 * x)
+    rows = tuple(
+        ProgressionRow(residue=a, psi_value=psi_progression(table, 2 * x, q, a), bound=bound)
+        for a in unit_sumsets(q, 1)[0]
+    )
+    return ProgressionReport(x=x, q=q, phi_q=phi_q, rows=rows, vacuous=q >= 2 * x)
 
 
 @dataclass(frozen=True)
@@ -173,6 +161,11 @@ def unit_sumsets(q: int, k: int) -> list[tuple[int, ...]]:
     return sets
 
 
+def _max_g_bound(x: float, k: int, q: int, phi_q: int) -> float:
+    """The primorial lower bound (x^(k-1) / 2^(k+1)) q/phi(q) for max G_k."""
+    return x ** (k - 1) / 2.0 ** (k + 1) * (q / phi_q)
+
+
 def chain_check(table: MangoldtTable, gtables: dict[int, GoldbachTable],
                 x: float, q: int) -> ChainReport:
     """Evaluate every level of the chain inequality and its aggregation.
@@ -207,20 +200,18 @@ def chain_check(table: MangoldtTable, gtables: dict[int, GoldbachTable],
         raise ValueError(f"need 2x <= sieve limit, got 2x = {2 * x}")
 
     phi_q = phi_of_int(q)
-    coprime = [a for a in range(q) if q == 1 or math.gcd(a, q) == 1]
-    psi_by_class = {a: psi_progression(table, 2 * x, q, a) for a in coprime}
-
-    # level 1: psi progressions per class
-    prev_class_sums = [psi_progression(table, 2 * x, q, b) for b in range(q)]
+    coprime, *sumsets = unit_sumsets(q, k)
+    # level 1: psi(2x; q, b) per class b
+    psi = prev_class_sums = _class_sums(table.values, int(math.floor(2 * x)), q)
 
     report_levels = []
-    for level, residues in zip(range(2, k + 1), unit_sumsets(q, k)[1:]):
+    for level, residues in zip(range(2, k + 1), sumsets):
         up_to = int(math.floor(2 * level * x))
         cls = _class_sums(gtables[level].values, up_to, q)
         mid = {}
         for b in residues:
             mid[b] = math.fsum(
-                psi_by_class[a] * prev_class_sums[(b - a) % q] for a in coprime
+                psi[a] * prev_class_sums[(b - a) % q] for a in coprime
             )
         # independent grouping: iterate prime powers directly
         mid_direct = {b: [] for b in residues}
@@ -253,16 +244,14 @@ def chain_check(table: MangoldtTable, gtables: dict[int, GoldbachTable],
         ))
         prev_class_sums = cls
 
-    final_up = int(math.floor(2 * k * x))
-    final_lhs = _class_sums(gtables[k].values, final_up, q)[0]
+    # the last level's class 0: the multiples of q up to 2kx
+    final_lhs = prev_class_sums[0]
     final_rhs = x**k / (2.0**k * phi_q)
-    max_g = float(np.max(gtables[k].values[: final_up + 1]))
-    q_over_phi = q / phi_q
-    max_g_bound = x ** (k - 1) / 2.0 ** (k + 1) * q_over_phi
+    max_g = float(np.max(gtables[k].values[: int(math.floor(2 * k * x)) + 1]))
     return ChainReport(
         x=x, q=q, phi_q=phi_q, levels=tuple(report_levels),
         final_lhs=final_lhs, final_rhs=final_rhs,
-        max_g=max_g, max_g_bound=max_g_bound,
+        max_g=max_g, max_g_bound=_max_g_bound(x, k, q, phi_q),
     )
 
 
@@ -296,7 +285,7 @@ def max_gk_scan(gtable: GoldbachTable, x: float,
         fallback = True
     values = gtable.values[: scan_top + 1]
     argmax = int(np.argmax(values))
-    bound = x ** (k - 1) / 2.0 ** (k + 1) * (q.value / q.phi)
+    bound = _max_g_bound(x, k, q.value, q.phi)
     reference = x ** (k - 1) * math.log(math.log(x))
     return MaxGkScan(
         max_g=float(values[argmax]),

@@ -174,11 +174,7 @@ def granville_rk(k: int, gamma: float) -> complex:
     """r_k(rho) = -k / (rho (rho+1) ... (rho+k-2)) at rho = 1/2 + i gamma."""
     if k < 2:
         raise ValueError(f"need k >= 2, got {k}")
-    rho = complex(0.5, gamma)
-    den = rho
-    for j in range(1, k - 1):
-        den *= rho + j
-    return -k / den
+    return -k / _denominator(gamma, k - 1)
 
 
 def rk_hk_consistency(k: int, gamma: float, x: float) -> tuple[complex, complex]:
@@ -197,16 +193,16 @@ def rk_hk_consistency(k: int, gamma: float, x: float) -> tuple[complex, complex]
 def psi1_explicit(zeros: ZeroTable, table: MangoldtTable, x: float) -> tuple[float, float]:
     """(explicit-formula value of psi_1(x), direct Riesz sum).
 
-    Formula: x^2/2 - sum_rho x^(rho+1)/(rho(rho+1)) - log(2pi) x + c, with
-    c the logarithmic derivative of zeta at -1; the zero sum is truncated
-    to the table, so the difference from the direct value shrinks as the
-    table grows.
+    psij_explicit at j = 1 plus its two constant terms:
+    x^2/2 - sum_rho x^(rho+1)/(rho(rho+1)) - log(2pi) x + c, with c the
+    logarithmic derivative of zeta at -1; the zero sum is truncated to the
+    table, so the difference from the direct value shrinks as the table
+    grows.
     """
     if x < 2:
         raise ValueError(f"need x >= 2, got {x}")
-    formula = x * x / 2.0 - _zero_sum(zeros, 2, x) - ZETA_LOGDERIV_0 * x + ZETA_LOGDERIV_M1
-    direct = riesz_psi_j(table, PsiJQuery(1, x))
-    return formula, direct
+    formula, direct = psij_explicit(zeros, table, 1, x)
+    return formula - ZETA_LOGDERIV_0 * x + ZETA_LOGDERIV_M1, direct
 
 
 def psij_explicit(zeros: ZeroTable, table: MangoldtTable, j: int, x: float) -> tuple[float, float]:
@@ -215,7 +211,7 @@ def psij_explicit(zeros: ZeroTable, table: MangoldtTable, j: int, x: float) -> t
     Formula: x^(j+1)/(j+1)! - sum_rho x^(rho+j)/(rho ... (rho+j)); the
     residual is of order x^j, so callers normalize by x^j.  Its leading
     term is the s = 0 residue -log(2pi) x^j / j! (ZETA_LOGDERIV_0), which
-    the formula omits; at j = 1 psi1_explicit adds it together with the
+    the formula omits; psi1_explicit adds it at j = 1 together with the
     constant from s = -1.
     """
     if j < 1:

@@ -19,26 +19,25 @@ _BERNOULLI = (
 )
 
 
-def zeta_euler_maclaurin(s: complex, cut: int = 28, corrections: int = 7) -> complex:
-    """zeta(s) by Euler-Maclaurin with ``cut`` direct terms.
+def zeta_euler_maclaurin(s: complex) -> complex:
+    """zeta(s) by Euler-Maclaurin: 28 direct terms and the B_2 ... B_14 corrections.
 
-    Valid away from s = 1; intended for moderate imaginary parts (the
-    correction series needs cut >> |Im s| / (2 pi) which holds for the
-    t <= ~100 range used here).
+    Valid away from s = 1.  28 terms suit moderate imaginary parts: the
+    correction series needs 28 >> |Im s| / (2 pi), which holds for the
+    t <= ~100 range used here.
     """
     s = complex(s)
     if s == 1:
         raise ValueError("zeta has a pole at s = 1")
     total = 0j
-    for n in range(1, cut):
+    big_n = 28
+    for n in range(1, big_n):
         total += n ** (-s)
-    big_n = cut
     total += big_n ** (1 - s) / (s - 1)
     total += 0.5 * big_n ** (-s)
     rising = s
     fact = 1.0
-    for j in range(1, corrections + 1):
-        num, den = _BERNOULLI[j - 1]
+    for j, (num, den) in enumerate(_BERNOULLI, start=1):
         fact *= (2 * j) * (2 * j - 1)
         total += (num / den) / fact * rising * big_n ** (-s - 2 * j + 1)
         rising *= (s + 2 * j - 1) * (s + 2 * j)
@@ -64,8 +63,8 @@ def hardy_z(t: float) -> float:
     return (cmath.exp(1j * hardy_theta(t)) * zeta_euler_maclaurin(complex(0.5, t))).real
 
 
-def bracket_zero(lo: float, hi: float, iterations: int = 80) -> float:
-    """Bisect a sign change of Z on [lo, hi] down to machine width.
+def bracket_zero(lo: float, hi: float) -> float:
+    """Bisect a sign change of Z on [lo, hi] 80 times, down to machine width.
 
     Raises ValueError when Z does not change sign on the interval.
     """
@@ -77,7 +76,7 @@ def bracket_zero(lo: float, hi: float, iterations: int = 80) -> float:
         return hi
     if (f_lo < 0) == (f_hi < 0):
         raise ValueError(f"no sign change of Z on [{lo}, {hi}]")
-    for _ in range(iterations):
+    for _ in range(80):
         mid = 0.5 * (lo + hi)
         f_mid = hardy_z(mid)
         if f_mid == 0.0:

@@ -61,7 +61,7 @@ def test_gk_direct_cap(capsys):
 @pytest.mark.parametrize("argv", [
     ("gk", "--k", "16", "--limit", "8388608"),
     ("sk", "--k", "16", "--limit", "8388608"),
-    ("residual", "--k", "16", "--limit", "8388608", "--grid", "2:4:2"),
+    ("residual", "--k", "16", "--limit", "8388608", "--grid", "16:32:2"),
     ("omega-scan", "--k", "16", "--x-grid", "300000:300000:2"),
 ])
 def test_fft_size_refused_before_sieving(monkeypatch, capsys, argv):
@@ -76,6 +76,34 @@ def test_fft_size_refused_before_sieving(monkeypatch, capsys, argv):
     assert code == 2
     assert "exceeds supported size" in err
     assert sieved == []
+
+
+@pytest.mark.parametrize("argv", [
+    ("sieve", "--limit", "134217728"),
+    ("sieve", "--limit", "1000000000000"),
+    ("singular-series", "--k", "2", "--n", "30", "--cutoff", "134217728"),
+    ("singular-series", "--k", "2", "--n", "30", "--cutoff", "1e12"),
+])
+def test_sieve_size_refused_before_allocating(monkeypatch, capsys, argv):
+    allocated = []
+
+    def refuse(shape, *args, **kwargs):
+        allocated.append(shape)
+        raise MemoryError(f"allocated {shape} before checking the sieve size")
+
+    monkeypatch.setattr(mangoldt.np, "ones", refuse)
+    monkeypatch.setattr(mangoldt.np, "zeros", refuse)
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert "exceeds supported size" in err
+    assert allocated == []
+
+
+def test_sk_direct_cap(capsys):
+    code, _, err = run_cli(capsys, "sk", "--k", "2", "--limit", "10000",
+                           "--method", "direct")
+    assert code == 1
+    assert "direct method capped at 8192; use --method fft" in err
 
 
 def test_sk_output(tmp_path, capsys):
@@ -118,11 +146,20 @@ def test_residual_missing_zero_file(capsys):
     assert "not found" in err
 
 
-def test_residual_computation_error(capsys):
-    # grid point below k triggers a computation-stage failure
+def test_residual_grid_below_k(capsys):
     code, _, err = run_cli(capsys, "residual", "--k", "2", "--limit", "1024",
-                           "--grid", "1:2:2")
+                           "--grid", "1:50:2")
+    assert code == 1
+    assert "below k" in err
+
+
+def test_residual_computation_error(capsys):
+    # valid flags the library refuses: the k = 2 transform for N = 2^26
+    # exceeds the supported size, a computation-stage failure
+    code, _, err = run_cli(capsys, "residual", "--k", "2", "--limit", "67108864",
+                           "--grid", "1024:2048:2")
     assert code == 2
+    assert "exceeds supported size" in err
 
 
 def test_bad_grid_spec(capsys):
@@ -178,6 +215,12 @@ def test_omega_scan(tmp_path, capsys):
     maxg_lines = maxg.read_text().splitlines()
     assert maxg_lines[0] == "x,maxG,bound,loglog_ref"
     assert len(maxg_lines) == 3
+
+
+def test_omega_scan_grid_below_two(capsys):
+    code, _, err = run_cli(capsys, "omega-scan", "--x-grid", "1:4:2")
+    assert code == 1
+    assert "x >= 2" in err
 
 
 def test_singular_series_command(capsys):

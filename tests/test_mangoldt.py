@@ -15,6 +15,7 @@ from goldbachkit import (
     psi_shift_check,
     riesz_psi_j,
 )
+from goldbachkit.mangoldt import MAX_TABLE_LEN, primes_up_to
 
 from conftest import lambda_by_trial_division
 
@@ -78,6 +79,15 @@ def test_total_mass_matches_prime_power_enumeration(sieve_10k):
 def test_build_rejects_tiny_limit():
     with pytest.raises(ValueError):
         build_mangoldt(1)
+
+
+def test_sieve_refuses_oversized_limit():
+    # limit + 1 entries, so the largest supported limit is MAX_TABLE_LEN - 1
+    for limit in (MAX_TABLE_LEN, 10**12):
+        with pytest.raises(ValueError, match="exceeds supported size"):
+            primes_up_to(limit)
+        with pytest.raises(ValueError, match="exceeds supported size"):
+            build_mangoldt(limit)
 
 
 def test_table_is_immutable(sieve_10k):

@@ -80,6 +80,7 @@ def test_chain_k3_q2(sieve_10k):
         assert lvl.consistency_error <= 1e-6
     assert report.final_lhs > report.final_rhs
     assert report.max_g >= report.max_g_bound
+    assert report.max_g_bound == max_gk_scan(g3, 200.0, primorial(3)).primorial_bound
 
 
 def test_chain_phi1(sieve_10k):
