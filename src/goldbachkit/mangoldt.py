@@ -17,9 +17,8 @@ import numpy as np
 
 from .accum import exact_sum, riesz_integral, weighted_power_sum
 
-# Largest table, in entries, that the sieve and the G_k transforms allocate;
-# larger requests are refused up front rather than swapping the machine to
-# death.
+# Largest table, in entries, the sieve and the G_k transforms allocate; larger
+# requests are refused up front rather than swapping the machine to death.
 MAX_TABLE_LEN = 1 << 27
 
 

@@ -26,7 +26,13 @@ import numpy as np
 
 from .accum import exact_sum
 from .goldbach import GoldbachTable
-from .mangoldt import MangoldtTable, Primorial, phi_of_int, primorial, psi_progression
+from .mangoldt import (
+    MangoldtTable,
+    Primorial,
+    phi_of_int,
+    primorial,
+    psi_progression,
+)
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -98,11 +104,15 @@ def progression_bound_check(table: MangoldtTable, x: float, q: int) -> Progressi
         raise ValueError(f"need q >= 1, got {q}")
     phi_q = phi_of_int(q)
     bound = x / (2.0 * phi_q)
-    rows = tuple(
-        ProgressionRow(residue=a, psi_value=psi_progression(table, 2 * x, q, a), bound=bound)
-        for a in unit_sumsets(q, 1)[0]
-    )
-    return ProgressionReport(x=x, q=q, phi_q=phi_q, rows=rows, vacuous=q >= 2 * x)
+    rows = []
+    for a in unit_sumsets(q, 1)[0]:
+        rows.append(ProgressionRow(
+            residue=a,
+            psi_value=psi_progression(table, 2 * x, q, a),
+            bound=bound,
+        ))
+    return ProgressionReport(x=x, q=q, phi_q=phi_q, rows=tuple(rows),
+                             vacuous=q >= 2 * x)
 
 
 @dataclass(frozen=True)

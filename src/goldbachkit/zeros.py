@@ -193,11 +193,10 @@ def rk_hk_consistency(k: int, gamma: float, x: float) -> tuple[complex, complex]
 def psi1_explicit(zeros: ZeroTable, table: MangoldtTable, x: float) -> tuple[float, float]:
     """(explicit-formula value of psi_1(x), direct Riesz sum).
 
-    psij_explicit at j = 1 plus its two constant terms:
-    x^2/2 - sum_rho x^(rho+1)/(rho(rho+1)) - log(2pi) x + c, with c the
-    logarithmic derivative of zeta at -1; the zero sum is truncated to the
-    table, so the difference from the direct value shrinks as the table
-    grows.
+    psij_explicit at j = 1 plus its constants -log(2pi) x and c, the
+    logarithmic derivative of zeta at -1: x^2/2 - sum_rho x^(rho+1)/(rho(rho+1))
+    - log(2pi) x + c.  The zero sum is truncated to the table, so the
+    difference from the direct value shrinks as the table grows.
     """
     if x < 2:
         raise ValueError(f"need x >= 2, got {x}")
