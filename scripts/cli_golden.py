@@ -59,6 +59,10 @@ COMMANDS = [
      ["circle.json"]),
     ("circle-check-nodes",
      ["circle-check", "--n", "500", "--nodes", "2000", "--arc-csv", "arc.csv"], ["arc.csv"]),
+    # 4001 is prime: the transform length numpy cannot factor into small radices
+    ("circle-check-prime-nodes",
+     ["circle-check", "--n", "1000", "--nodes", "4001", "--output", "circle.json"],
+     ["circle.json"]),
     ("omega-scan-k2",
      ["omega-scan", "--k", "2", "--x-grid", "64:1024:2", "--output", "chain.csv",
       "--maxg-output", "maxg.csv"], ["chain.csv", "maxg.csv"]),

@@ -7,7 +7,7 @@ checks, circle-method diagnostics on |z| = 1 - 1/N, exact combinatorial
 identity verification, and the primorial lower-bound construction.
 """
 
-from .accum import exact_sum, max_discrepancy
+from .accum import BoundExceeded, exact_sum, max_discrepancy
 from .circle import (
     ArcClassification,
     CircleGrid,

@@ -2,12 +2,33 @@
 
 Every weighted prime sum in this package is accumulated in ascending index
 order with error-free transformations, so repeated runs are bit-identical
-and summation drift stays far below the test tolerances.
+and summation drift stays far below the test tolerances.  Size bounds the
+package asserts on its own results fail with BoundExceeded.
 """
 
 import math
 
 import numpy as np
+
+
+class BoundExceeded(AssertionError):
+    """A computed value broke a size bound that holds in exact arithmetic.
+
+    Carries ``value`` and ``bound``; the check allows a relative slack of
+    1e-9 for rounding (check_bound).  An AssertionError, so handlers of
+    the bare assertion still catch it.
+    """
+
+    def __init__(self, what: str, value: float, bound: float):
+        super().__init__(f"{what} = {value!r} exceeds its bound {bound!r}")
+        self.value = value
+        self.bound = bound
+
+
+def check_bound(what: str, value: float, bound: float) -> None:
+    """Raise BoundExceeded when value > bound (1 + 1e-9)."""
+    if value > bound * (1.0 + 1e-9):
+        raise BoundExceeded(what, value, bound)
 
 
 def exact_sum(values) -> float:
@@ -78,28 +99,42 @@ def weighted_power_sum(coeffs: np.ndarray, x: float, j: int) -> float:
     return exact_sum(terms)
 
 
+def _power_step(m: np.ndarray, f: float, p: int) -> np.ndarray:
+    """(m + f)**p - m**p for m, f >= 0, as the positive binomial sum
+    sum_{i < p} C(p, i) m^i f^(p-i), so no cancellation is involved."""
+    return sum(math.comb(p, i) * m**i * f ** (p - i) for i in range(p))
+
+
 def riesz_integral(coeffs: np.ndarray, j: int, x: float) -> float:
     """Exact integral over [0, x] of the order-(j) Riesz mean of ``coeffs``.
 
     The integrand t -> (1/j!) sum_{n <= t} coeffs[n] (t-n)^j is piecewise
-    polynomial with breakpoints at the integers, so each unit cell [a, b]
-    contributes sum_{n <= a} coeffs[n] ((b-n)^{j+1} - (a-n)^{j+1}) and the
-    total needs only a division by (j+1)!.  No quadrature is involved; the
-    result differs from the direct order-(j+1) Riesz sum only by
-    floating-point grouping.
+    polynomial with breakpoints at the integers, so unit cell [a, a+1]
+    contributes sum_{n <= a} coeffs[n] ((a+1-n)^{j+1} - (a-n)^{j+1}), and
+    the total needs only a division by (j+1)!.  No quadrature is involved.
+
+    The full cells are summed by parts: grouped by d = a - n, their terms
+    are [(d+1)^{j+1} - d^{j+1}] C(floor(x) - 1 - d), with C the running
+    prefix sum of the coefficients (hi and lo parts of running_prefix,
+    both kept as terms).  A fractional x adds the partial cell
+    [floor(x), x] as sum_{n <= x} coeffs[n] ((x-n)^{j+1} - (floor(x)-n)^{j+1}).
+    All of it is one compensated sum of O(x) terms.  This is Abel
+    summation over the prefix sums, not the per-n telescoped sum
+    sum_n coeffs[n] (x-n)^{j+1} that weighted_power_sum forms, so the two
+    agree only up to rounding, which is what psi_integral_check compares.
     """
     if x <= 1.0:
         return 0.0
-    terms: list[float] = []
-    top = math.floor(x)
-    for a in range(1, int(top) + 1):
-        b = min(float(a + 1), x)
-        if b <= a:
-            break
-        n = np.arange(1, a + 1, dtype=np.float64)
-        cell = coeffs[1 : a + 1] * ((b - n) ** (j + 1) - (a - n) ** (j + 1))
-        terms.extend(cell.tolist())
-    return math.fsum(terms) / math.factorial(j + 1)
+    top = int(math.floor(x))
+    p = j + 1
+    hi, lo = running_prefix(coeffs[1:top])
+    d = np.arange(top - 1, dtype=np.float64)
+    weights = _power_step(d, 1.0, p)
+    terms = [weights * hi[::-1], weights * lo[::-1]]
+    if x > top:
+        n = np.arange(1, top + 1, dtype=np.float64)
+        terms.append(coeffs[1 : top + 1] * _power_step(top - n, x - top, p))
+    return math.fsum(np.concatenate(terms).tolist()) / math.factorial(p)
 
 
 def max_discrepancy(a, b, scale: float | None = None) -> float:

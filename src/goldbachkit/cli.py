@@ -84,6 +84,8 @@ def _resolve_zero_table(path_arg):
 
 
 def _cmd_sieve(args) -> int:
+    if args.limit < 2:
+        raise CliError(f"need limit >= 2, got {args.limit}")
     table = mangoldt.build_mangoldt(args.limit)
     with _open_output(args.output) as out:
         out.write("n,lambda\n")
@@ -182,8 +184,16 @@ def _cmd_zeros_info(args) -> int:
 
 def _cmd_circle_check(args) -> int:
     n = args.n
-    sieve = mangoldt.build_mangoldt(8 * n)
+    if n < 2:
+        raise CliError(f"need n >= 2, got {n}")
+    if args.k < 2:
+        raise CliError(f"need k >= 2, got {args.k}")
+    if not 0.0 < args.delta < 1.0:
+        raise CliError(f"need 0 < delta < 1, got {args.delta}")
     nodes = args.nodes if args.nodes else 8 * n
+    if nodes < 4 * n:
+        raise CliError(f"{nodes} nodes would alias; need at least 4N = {4 * n}")
+    sieve = mangoldt.build_mangoldt(8 * n)
     quad, coeff = circle.cauchy_psi_recovery(sieve, n, nodes)
     power_sum, reference = circle.minor_arc_l2(sieve, n)
     lemma = circle.lemma1_check(args.k, n, 0.0)
@@ -242,15 +252,18 @@ def _cmd_omega_scan(args) -> int:
                            report.final_lhs, report.final_rhs,
                            report.final_lhs - report.final_rhs))
         scan = omega.max_gk_scan(gtables[k], float(x), q)
-        maxg_rows.append((x, scan.max_g, scan.primorial_bound, scan.loglog_reference))
+        if scan.fallback_applied:
+            _log("warning", "omega-scan",
+                 f"maxG bound at x={x} uses the default q={scan.q}, not q={q.value}")
+        maxg_rows.append((x, scan.q, scan.max_g, scan.primorial_bound, scan.loglog_reference))
     with _open_output(args.output) as out:
         out.write("x,q,phi_q,level,min_lhs,rhs,margin\n")
         for x, qv, phi_q, level, lhs, rhs, margin in chain_rows:
             out.write(f"{x},{qv},{phi_q},{level},{_fmt(lhs)},{_fmt(rhs)},{_fmt(margin)}\n")
     with _open_output(args.maxg_output) as out:
-        out.write("x,maxG,bound,loglog_ref\n")
-        for x, max_g, bound, ref in maxg_rows:
-            out.write(f"{x},{_fmt(max_g)},{_fmt(bound)},{_fmt(ref)}\n")
+        out.write("x,q,maxG,bound,loglog_ref\n")
+        for x, qv, max_g, bound, ref in maxg_rows:
+            out.write(f"{x},{qv},{_fmt(max_g)},{_fmt(bound)},{_fmt(ref)}\n")
     return 0
 
 

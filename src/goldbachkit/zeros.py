@@ -18,7 +18,7 @@ from importlib import resources
 
 import numpy as np
 
-from .accum import exact_sum
+from .accum import check_bound, exact_sum
 from .goldbach import PrefixSums
 from .mangoldt import MangoldtTable, PsiJQuery, riesz_psi_j
 
@@ -143,10 +143,10 @@ def hk_zero_sum(zeros: ZeroTable, k: int, x: float) -> tuple[float, float]:
     terms are accumulated in ascending-gamma compensated order and scaled
     by -k.  The absolute bound
         |H_k| <= (2k/(k-1)!) X^(k-1/2) sum gamma^-2
-    (from |rho| >= gamma, |rho+1| >= gamma, |rho+j| >= j) is asserted on
-    every call.  The tail estimate integrates gamma^-k against the
-    standard zero-counting density log(gamma/2pi)/2pi from the last table
-    entry; it is an estimate of the omitted mass, not a rigorous bound.
+    (from |rho| >= gamma, |rho+1| >= gamma, |rho+j| >= j) is checked on
+    every call (BoundExceeded).  The tail estimate integrates gamma^-k
+    against the standard zero-counting density log(gamma/2pi)/2pi from the
+    last table entry; it is an estimate of the omitted mass, not a rigorous bound.
     """
     if k < 2:
         raise ValueError(f"need k >= 2, got {k}")
@@ -157,10 +157,7 @@ def hk_zero_sum(zeros: ZeroTable, k: int, x: float) -> tuple[float, float]:
     value = -k * _zero_sum(zeros, k, x)
 
     bound = (2.0 * k / math.factorial(k - 1)) * x ** (k - 0.5) * zeros.inverse_square_sum()
-    if abs(value) > bound * (1.0 + 1e-9):
-        raise AssertionError(
-            f"|H_{k}({x})| = {abs(value)} exceeds its size bound {bound}"
-        )
+    check_bound(f"|H_{k}({x})|", abs(value), bound)
 
     t = zeros.gamma_max
     density_tail = t ** (1 - k) * (

@@ -4,7 +4,7 @@ Tolerances are pinned here, not deferred.  Criterion 3's node-doubling
 sub-check holds the quadrature error at 8N, 16N and 32N nodes to a rounding
 bound: the uniform trapezoid rule is exact for the band-limited integrand
 once M >= 4N, so more nodes cannot reduce the error, only keep it at the
-rounding floor set by the running powers in the evaluation of F.
+rounding floor set by the phases of the kernel K (see that test).
 """
 
 import math
@@ -87,10 +87,17 @@ def test_criterion_3_cauchy_recovery(sieve_10k):
 
     # node doubling: the integrand's exponents lie in (-N, 2N), so the
     # trapezoid rule is exact once M >= 4N and doubling the nodes cannot
-    # shrink the error further.  What remains is rounding, dominated by the
-    # ~2N ulp drift of the running powers z^n (terms = 2N) in the evaluation
-    # of F; the error at 8N, 16N and 32N must stay within that.  An aliased
-    # or otherwise wrong quadrature lands far above it.
+    # shrink the error further.  What remains is rounding.  F contributes
+    # almost none of it: one inverse FFT of Lambda(n) R^n gives F to about
+    # U log2(M) of F(R), a few ulp (6e-16 measured at N = 500).  The kernel
+    # K = z^(-N-1) (1 - z^N) / (1 - z) dominates: its phases 2 pi (N+1) theta
+    # and 2 pi N theta are rounded to about N ulp of angle at each node, so
+    # each sample of F K z carries a relative error of order N eps.  The
+    # node mean of |F K z| is about 1.3 psi(N), and the per-node errors have
+    # both signs and cancel in part, so the error stays at that scale: the
+    # errors at 8N, 16N and 32N must stay within 2N eps (measured 3e-15 to
+    # 2e-14 against 2.2e-13).  An aliased or otherwise wrong quadrature
+    # lands far above it.
     n = 500
     rounding_bound = 2 * n * sys.float_info.epsilon
     errors = []

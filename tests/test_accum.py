@@ -1,8 +1,17 @@
+import math
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from goldbachkit.accum import running_prefix
+from goldbachkit.accum import (
+    BoundExceeded,
+    check_bound,
+    riesz_integral,
+    running_prefix,
+    weighted_power_sum,
+)
 
 
 def neumaier_loop(values):
@@ -54,3 +63,32 @@ def test_running_prefix_leading_negative_zero():
         assert not np.signbit(hi[0]) and hi[0] == 0.0
         assert hi.tobytes() == ref_hi.tobytes()
         assert lo.tobytes() == ref_lo.tobytes()
+
+
+@pytest.mark.parametrize("j", [0, 1, 2, 3])
+@pytest.mark.parametrize("x", [1.5, 2.0, 7.0, 7.25, 100.0, 100.0 + 1e-9, 999.5, 1000.0,
+                               1000.0 + 2**-30])
+def test_riesz_integral_matches_direct_sum(sieve_10k, j, x):
+    # summation by parts over the prefix sums against the per-n sum
+    # sum_n Lambda(n) (x - n)^(j+1) / (j+1)!: the same value, other grouping
+    integral = riesz_integral(sieve_10k.values, j, x)
+    direct = weighted_power_sum(sieve_10k.values, x, j + 1) / math.factorial(j + 1)
+    assert integral == pytest.approx(direct, rel=1e-13, abs=1e-300)
+
+
+def test_riesz_integral_signed_coefficients():
+    coeffs = np.array([0.0, 1.0, -2.0, 0.5, 3.0, -1.0])
+    for j in (0, 1, 2):
+        for x in (1.0, 3.0, 3.5, 5.0, 5.75):
+            direct = math.fsum(coeffs[n] * (x - n) ** (j + 1) for n in range(1, math.floor(x) + 1))
+            assert riesz_integral(coeffs, j, x) == pytest.approx(
+                direct / math.factorial(j + 1), rel=1e-14, abs=1e-14)
+
+
+def test_bound_exceeded_carries_value_and_bound():
+    check_bound("ratio", 1.0 + 1e-10, 1.0)  # within the rounding slack
+    with pytest.raises(AssertionError) as info:
+        check_bound("ratio", 1.5, 1.0)
+    assert isinstance(info.value, BoundExceeded)
+    assert (info.value.value, info.value.bound) == (1.5, 1.0)
+    assert str(info.value) == "ratio = 1.5 exceeds its bound 1.0"

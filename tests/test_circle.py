@@ -20,6 +20,7 @@ from goldbachkit import (
     minor_arc_l2,
     s0_sum,
 )
+from goldbachkit.circle import _f_on_grid
 
 LOG2 = math.log(2)
 LOG3 = math.log(3)
@@ -142,6 +143,59 @@ def test_gy_width_sanity(sieve_10k):
     assert integral <= (1.0 / x) * max_e * (1 + 1e-9)
 
 
+def _gy_double_sum(table, x, h):
+    """The GY integral as the O(x^2) double sum (1/x) sum c_i c_l K(i-l) W,
+    with W the width of [x, 2x] lying in cells m >= max(i, l)."""
+    top = math.ceil(2 * x) - 1
+    c = [table.values[n] - 1.0 for n in range(top + 1)]
+
+    def width(m):
+        return max(0.0, min(m + 1.0, 2 * x) - max(float(m), x))
+
+    tail = [math.fsum(width(m) for m in range(n, top + 1)) for n in range(top + 2)]
+
+    def kernel(d):
+        return 1.0 / h if d == 0 else math.sin(math.pi * d / h) / (math.pi * d)
+
+    terms = [c[i] * c[l] * kernel(i - l) * tail[max(i, l)]
+             for i in range(1, top + 1) for l in range(1, top + 1)]
+    return math.fsum(terms) / x, math.fsum(abs(t) for t in terms) / x
+
+
+@pytest.mark.parametrize("x,h", [(16.0, 1.0), (16.0, 3.0), (16.0, 16.0), (17.5, 2.5),
+                                 (23.25, 23.25), (40.0, 7.0), (1.0, 1.0)])
+def test_gy_closed_form_matches_double_sum(sieve_10k, x, h):
+    integral, reference = gy_lemma_diagnostic(sieve_10k, x, h)
+    expected, mass = _gy_double_sum(sieve_10k, x, h)
+    assert abs(integral - expected) <= 1e-13 * mass
+    assert reference == x * math.log(x) ** 2 / h
+
+
+def test_f_on_grid_matches_f_partial(sieve_10k):
+    # (N, M): M = 4N, M = 8N, a prime M (4001, numpy's Bluestein path);
+    # terms = 2N as the callers truncate, and terms = M - 1, the most
+    # the grid takes without aliasing
+    rng = np.random.default_rng(21)
+    eps = np.finfo(float).eps
+    for n, nodes, terms in [(100, 400, 200), (100, 800, 200), (1000, 4001, 2000),
+                            (100, 400, 399), (300, 1201, 1200)]:
+        grid = CircleGrid(n=n, nodes=nodes)
+        values = _f_on_grid(sieve_10k, grid, terms)
+        f_r = f_partial(sieve_10k, grid.radius, terms).value.real
+        # f_partial evaluates at the rounded node z, whose phase is off by
+        # a few ulp; z^n multiplies that by n <= terms
+        tol = 8 * terms * eps * f_r
+        for j in [0, nodes - 1, *rng.integers(1, nodes - 1, 10).tolist()]:
+            oracle = f_partial(sieve_10k, complex(grid.z[j]), terms).value
+            assert abs(values[j] - oracle) <= tol, (n, nodes, terms, j)
+
+
+def test_f_on_grid_refuses_aliasing(sieve_10k):
+    grid = CircleGrid(n=100, nodes=400)
+    with pytest.raises(ValueError, match="alias"):
+        _f_on_grid(sieve_10k, grid, 400)
+
+
 def test_f_partial_values(sieve_10k):
     assert f_partial(sieve_10k, 0.0, 10).value == 0.0
     expected = (
@@ -257,6 +311,8 @@ def test_arc_sweep_rows(sieve_10k):
     assert im_v == pytest.approx(0.0, abs=1e-12)
     assert abs_v == pytest.approx(math.hypot(re_v, im_v), rel=1e-12)
     assert label == "major"
+    # each |F| is rounded as abs() of one complex (numpy's array abs can be 2 ulp off)
+    assert all(r[3] == abs(complex(r[1], r[2])) for r in rows)
     assert {r[4] for r in rows} == {"major", "minor"}
 
 

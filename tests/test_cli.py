@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from goldbachkit import mangoldt
+from goldbachkit import BoundExceeded, circle, mangoldt
 from goldbachkit.cli import main
 
 
@@ -213,8 +213,44 @@ def test_omega_scan(tmp_path, capsys):
         fields = line.split(",")
         assert float(fields[6]) > 0.0  # positive margins throughout
     maxg_lines = maxg.read_text().splitlines()
-    assert maxg_lines[0] == "x,maxG,bound,loglog_ref"
+    assert maxg_lines[0] == "x,q,maxG,bound,loglog_ref"
     assert len(maxg_lines) == 3
+
+
+def test_omega_scan_fallback_is_reported(tmp_path, capsys):
+    # q = 210 (y = 11) is not below 2x = 128, so the maxG bound falls back
+    # to the default modulus q = 6 while the chain rows keep q = 210
+    chain = tmp_path / "chain.csv"
+    maxg = tmp_path / "maxg.csv"
+    code, _, err = run_cli(capsys, "omega-scan", "--k", "2", "--x-grid", "64:64:2",
+                           "--y", "11", "--output", str(chain), "--maxg-output", str(maxg))
+    assert code == 0
+    assert chain.read_text().splitlines()[1].startswith("64,210,")
+    assert "level=warning op=omega-scan msg=maxG bound at x=64 uses the default q=6" in err
+    header, row = maxg.read_text().splitlines()
+    assert header == "x,q,maxG,bound,loglog_ref"
+    assert row.startswith("64,6,")
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("circle-check", "--n", "500", "--nodes", "100"), "100 nodes would alias"),
+    (("circle-check", "--n", "100", "--delta", "1.5"), "need 0 < delta < 1"),
+    (("sieve", "--limit", "1"), "need limit >= 2"),
+])
+def test_flag_errors_exit_1(capsys, argv, message):
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert message in err
+
+
+def test_bound_exceeded_is_a_computation_error(monkeypatch, capsys):
+    def broken(k, n, theta):
+        raise BoundExceeded("lemma ratio", 2.0, 1.0)
+
+    monkeypatch.setattr(circle, "lemma1_check", broken)
+    code, _, err = run_cli(capsys, "circle-check", "--n", "16")
+    assert code == 2
+    assert "BoundExceeded: lemma ratio = 2.0 exceeds its bound 1.0" in err
 
 
 def test_omega_scan_grid_below_two(capsys):
