@@ -69,6 +69,10 @@ COMMANDS = [
     ("omega-scan-k3",
      ["omega-scan", "--k", "3", "--x-grid", "64:512:2", "--output", "chain.csv",
       "--maxg-output", "maxg.csv"], ["chain.csv", "maxg.csv"]),
+    # q = 210 >= 2x at x = 64: max_gk_scan falls back to the default q there
+    ("omega-scan-y11",
+     ["omega-scan", "--k", "2", "--x-grid", "64:256:2", "--y", "11", "--output", "chain.csv",
+      "--maxg-output", "maxg.csv"], ["chain.csv", "maxg.csv"]),
     ("identities", ["identities", "--kmax", "25"], []),
     ("singular-series-k2", ["singular-series", "--k", "2", "--n", "30030"], []),
     ("singular-series-k3-file",

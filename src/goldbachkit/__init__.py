@@ -52,7 +52,6 @@ from .identities import (
 from .mangoldt import (
     MangoldtTable,
     Primorial,
-    PsiJQuery,
     build_mangoldt,
     chebyshev_psi,
     distinct_prime_factors,
@@ -67,7 +66,6 @@ from .mangoldt import (
 from .omega import (
     ChainReport,
     MaxGkScan,
-    OmegaConfig,
     chain_check,
     default_cutoff,
     max_gk_scan,

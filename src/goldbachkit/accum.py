@@ -76,13 +76,6 @@ def running_prefix(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return hi, lo
 
 
-def prefix_increment(hi: np.ndarray, lo: np.ndarray, i: int) -> float:
-    """Compensated difference sum[:i+1] - sum[:i] of a running_prefix pair."""
-    if i == 0:
-        return hi[0] + lo[0]
-    return (hi[i] - hi[i - 1]) + (lo[i] - lo[i - 1])
-
-
 def weighted_power_sum(coeffs: np.ndarray, x: float, j: int) -> float:
     """sum_{1 <= n <= x} coeffs[n] * (x - n)**j, exactly accumulated.
 
@@ -134,14 +127,14 @@ def riesz_integral(coeffs: np.ndarray, j: int, x: float) -> float:
     if x > top:
         n = np.arange(1, top + 1, dtype=np.float64)
         terms.append(coeffs[1 : top + 1] * _power_step(top - n, x - top, p))
-    return math.fsum(np.concatenate(terms).tolist()) / math.factorial(p)
+    return exact_sum(np.concatenate(terms)) / math.factorial(p)
 
 
-def max_discrepancy(a, b, scale: float | None = None) -> float:
+def max_discrepancy(a, b, scale: float) -> float:
     """Largest elementwise |a-b| / max(|a|, |b|, floor/rel), rel = 1e-9.
 
     The floor is 1e-12 * max(1, scale).  Calibrated so that
-    ``max_discrepancy(a, b) <= 1e-9`` holds exactly when every element
+    ``max_discrepancy(a, b, scale) <= 1e-9`` holds exactly when every element
     satisfies |a-b| <= max(1e-9 * max(|a|,|b|), floor): entries whose
     magnitudes sit below floor/rel are measured against the floor rather
     than against themselves.  FFT round-off is proportional to the
@@ -151,6 +144,6 @@ def max_discrepancy(a, b, scale: float | None = None) -> float:
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    floor = 1e-12 * max(1.0, scale if scale is not None else 0.0)
+    floor = 1e-12 * max(1.0, scale)
     denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), floor / 1e-9)
     return float(np.max(np.abs(a - b) / denom))

@@ -142,7 +142,7 @@ def expected_value_E(table: MangoldtTable, alpha: float, x: float) -> float:
     m, width = _cells(x)
     width, m = width[m >= 1], m[m >= 1]  # S_0(t) = 0 for t < 1
     prefix = _prefix_s0(table, alpha, int(m[-1]) if m.size else 0)
-    return math.fsum((_modulus(prefix[m - 1]) ** 2 * width).tolist()) / x
+    return exact_sum(_modulus(prefix[m - 1]) ** 2 * width) / x
 
 
 def gy_lemma_diagnostic(table: MangoldtTable, x: float, h: float) -> tuple[float, float]:
@@ -174,7 +174,7 @@ def gy_lemma_diagnostic(table: MangoldtTable, x: float, h: float) -> tuple[float
     cell_tail = np.cumsum(width[::-1])[::-1]
     tail = np.full(top, cell_tail[0])
     tail[m[0] - 1 :] = cell_tail
-    integral = math.fsum((increments * tail).tolist()) / x
+    integral = exact_sum(increments * tail) / x
     reference = x * math.log(x) ** 2 / h
     return integral, reference
 

@@ -164,7 +164,7 @@ def _cmd_residual(args) -> int:
     zero_table = _resolve_zero_table(args.zeros)
     _, (gtable,) = _build_tables(args.limit, [("fft", args.k, args.limit)])
     prefix = goldbach.sk_prefix(gtable)
-    report = zeros.residual_report(prefix, zero_table, grid, eps=args.eps)
+    report = zeros.residual_report(prefix, zero_table, grid)
     with _open_output(args.output) as out:
         zeros.write_residual_csv(report, out)
     _log("info", "residual",
@@ -190,9 +190,13 @@ def _cmd_circle_check(args) -> int:
         raise CliError(f"need k >= 2, got {args.k}")
     if not 0.0 < args.delta < 1.0:
         raise CliError(f"need 0 < delta < 1, got {args.delta}")
-    nodes = args.nodes if args.nodes else 8 * n
+    nodes = args.nodes if args.nodes is not None else 8 * n
     if nodes < 4 * n:
         raise CliError(f"{nodes} nodes would alias; need at least 4N = {4 * n}")
+    if nodes > mangoldt.MAX_TABLE_LEN:
+        raise ValueError(
+            f"circle grid of {nodes} nodes exceeds supported size {mangoldt.MAX_TABLE_LEN}"
+        )
     sieve = mangoldt.build_mangoldt(8 * n)
     quad, coeff = circle.cauchy_psi_recovery(sieve, n, nodes)
     power_sum, reference = circle.minor_arc_l2(sieve, n)
@@ -231,6 +235,10 @@ def _cmd_omega_scan(args) -> int:
     if grid[0] < 2:
         raise CliError(f"x-grid needs x >= 2, got {grid[0]}")
     k = args.k
+    if k < 2:
+        raise CliError(f"need k >= 2, got {k}")
+    if args.y is not None and args.y < 2:
+        raise CliError(f"need y >= 2, got {args.y}")
     x_max = grid[-1]
     sieve, tables = _build_tables(
         2 * k * x_max, [("fft", level, 2 * level * x_max) for level in range(2, k + 1)]
@@ -239,7 +247,7 @@ def _cmd_omega_scan(args) -> int:
     chain_rows = []
     maxg_rows = []
     for x in grid:
-        y = args.y if args.y else omega.default_cutoff(x)
+        y = args.y if args.y is not None else omega.default_cutoff(x)
         q = mangoldt.primorial(y)
         if q.value >= 2 * x:
             _log("warning", "omega-scan",
@@ -268,6 +276,8 @@ def _cmd_omega_scan(args) -> int:
 
 
 def _cmd_identities(args) -> int:
+    if args.kmax < 2:
+        raise CliError(f"need kmax >= 2, got {args.kmax}")
     rows = identities.run_identity_suite(args.kmax)
     failures = 0
     for name, ok in rows:
@@ -280,7 +290,10 @@ def _cmd_identities(args) -> int:
 
 
 def _cmd_singular_series(args) -> int:
-    query = goldbach.SingularSeriesQuery(k=args.k, n=args.n, prime_cutoff=args.cutoff)
+    try:
+        query = goldbach.SingularSeriesQuery(k=args.k, n=args.n, prime_cutoff=args.cutoff)
+    except ValueError as exc:
+        raise CliError(str(exc)) from None
     value, tail = goldbach.singular_series(query)
     with _open_output(args.output) as out:
         out.write("k,n,P,value,tail_bound\n")
@@ -318,7 +331,6 @@ def build_parser() -> _Parser:
     p.add_argument("--limit", type=int, required=True)
     p.add_argument("--grid", required=True, help="geometric grid start:stop:ratio")
     p.add_argument("--zeros", default=None)
-    p.add_argument("--eps", type=float, default=0.05)
     p.add_argument("--output", default=None)
     p.set_defaults(func=_cmd_residual)
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .accum import prefix_increment, running_prefix, weighted_power_sum
+from .accum import running_prefix, weighted_power_sum
 from .mangoldt import MAX_TABLE_LEN, MangoldtTable, distinct_prime_factors, primes_up_to
 
 # Direct convolutions are O(k N^2); beyond this cap callers must opt in.
@@ -83,7 +83,9 @@ class PrefixSums:
 
     def increment(self, x: int) -> float:
         """Compensated S_k(x) - S_k(x-1)."""
-        return prefix_increment(self.hi, self.lo, x)
+        if x == 0:
+            return self.hi[0] + self.lo[0]
+        return (self.hi[x] - self.hi[x - 1]) + (self.lo[x] - self.lo[x - 1])
 
 
 @dataclass(frozen=True)

@@ -38,20 +38,6 @@ class MangoldtTable:
 
 
 @dataclass(frozen=True)
-class PsiJQuery:
-    """Riesz order j >= 0 and evaluation point x >= 1."""
-
-    j: int
-    x: float
-
-    def __post_init__(self):
-        if self.j < 0:
-            raise ValueError(f"Riesz order must be >= 0, got {self.j}")
-        if self.x < 1:
-            raise ValueError(f"evaluation point must be >= 1, got {self.x}")
-
-
-@dataclass(frozen=True)
 class Primorial:
     """Product of all primes below a cutoff, in factored form.
 
@@ -131,16 +117,20 @@ def chebyshev_psi(table: MangoldtTable, x: float) -> float:
     return exact_sum(table.values[1 : m + 1])
 
 
-def riesz_psi_j(table: MangoldtTable, q: PsiJQuery) -> float:
-    """psi_j(x) = (1/j!) sum_{n <= x} Lambda(n) (x-n)^j.
+def riesz_psi_j(table: MangoldtTable, j: int, x: float) -> float:
+    """psi_j(x) = (1/j!) sum_{n <= x} Lambda(n) (x-n)^j, for j >= 0 and x >= 1.
 
     Computed as a direct weighted sum (never by recursion on j) in the same
     ascending compensated order as chebyshev_psi; for j = 0 each weight is
     exactly 1.0 so the result is bit-for-bit equal to chebyshev_psi.
+    Raises ValueError for j < 0, x < 1 and x beyond the sieve limit.
     """
-    _check_range(table, q.x)
-    total = weighted_power_sum(table.values, q.x, q.j)
-    return total / math.factorial(q.j)
+    if j < 0:
+        raise ValueError(f"Riesz order must be >= 0, got {j}")
+    if x < 1:
+        raise ValueError(f"evaluation point must be >= 1, got {x}")
+    _check_range(table, x)
+    return weighted_power_sum(table.values, x, j) / math.factorial(j)
 
 
 def psi_shift_check(table: MangoldtTable, j: int, x: float) -> tuple[float, float]:
@@ -151,10 +141,8 @@ def psi_shift_check(table: MangoldtTable, j: int, x: float) -> tuple[float, floa
     """
     if j < 1:
         raise ValueError("shift check needs j >= 1")
-    _check_range(table, x + 1)
-    a = riesz_psi_j(table, PsiJQuery(j, x))
-    b = riesz_psi_j(table, PsiJQuery(j, x + 1))
-    return b - a, x**j
+    a = riesz_psi_j(table, j, x)
+    return riesz_psi_j(table, j, x + 1) - a, x**j
 
 
 def psi_integral_check(table: MangoldtTable, j: int, x: float) -> tuple[float, float]:
@@ -166,10 +154,7 @@ def psi_integral_check(table: MangoldtTable, j: int, x: float) -> tuple[float, f
     """
     if j < 1:
         raise ValueError("integral identity needs j >= 1")
-    _check_range(table, x)
-    direct = riesz_psi_j(table, PsiJQuery(j, x))
-    integral = riesz_integral(table.values, j - 1, x)
-    return direct, integral
+    return riesz_psi_j(table, j, x), riesz_integral(table.values, j - 1, x)
 
 
 def psi_progression(table: MangoldtTable, x: float, q: int, a: int) -> float:
@@ -180,12 +165,7 @@ def psi_progression(table: MangoldtTable, x: float, q: int, a: int) -> float:
     m = int(math.floor(x))
     if m < 1:
         return 0.0
-    start = a % q
-    if start == 0:
-        start = q
-    if start > m:
-        return 0.0
-    return exact_sum(table.values[start : m + 1 : q])
+    return exact_sum(table.values[a % q or q : m + 1 : q])
 
 
 def primorial(y: float) -> Primorial:

@@ -16,23 +16,20 @@ identities are hard invariants.
 The literal cutoff q = product of primes below x makes q astronomically
 larger than 2x at any computable scale (the progressions would be mostly
 empty), so the prime cutoff y is decoupled from x and defaults to
-max(3, log x); configurations with q >= 2x are flagged, not hidden.
+max(3, log x); configurations with q >= 2x are flagged, not hidden.  The
+caller builds q = primorial(y) itself (default_cutoff(x) when y is unset).
+No exceptional (Siegel) zero exists in any computable range, so no prime is
+excluded from q.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .accum import exact_sum
 from .goldbach import GoldbachTable
-from .mangoldt import (
-    MangoldtTable,
-    Primorial,
-    phi_of_int,
-    primorial,
-    psi_progression,
-)
+from .mangoldt import MangoldtTable, Primorial, phi_of_int, primorial
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -40,36 +37,6 @@ EULER_GAMMA = 0.5772156649015329
 def default_cutoff(x: float) -> float:
     """Default prime cutoff y for the modulus: max(3, log x)."""
     return max(3.0, math.log(x))
-
-
-@dataclass(frozen=True)
-class OmegaConfig:
-    """Scale x, prime cutoff y for q = prod_{p < y} p, exceptional modulus 1.
-
-    No exceptional (Siegel) zero exists in any computable range, so the
-    exceptional modulus is pinned to 1 and never excludes a prime.
-    """
-
-    k: int
-    x: float
-    y: float | None = None
-    exceptional_modulus: int = 1
-
-    def __post_init__(self):
-        if self.k < 2:
-            raise ValueError(f"need k >= 2, got {self.k}")
-        if self.x < 2:
-            raise ValueError(f"need x >= 2, got {self.x}")
-        if self.exceptional_modulus != 1:
-            raise ValueError("exceptional modulus is fixed to 1")
-
-    @property
-    def cutoff(self) -> float:
-        return self.y if self.y is not None else default_cutoff(self.x)
-
-    @property
-    def modulus(self) -> Primorial:
-        return primorial(self.cutoff)
 
 
 @dataclass(frozen=True)
@@ -98,21 +65,16 @@ class ProgressionReport:
 
 def progression_bound_check(table: MangoldtTable, x: float, q: int) -> ProgressionReport:
     """psi(2x; q, a) against x / (2 phi(q)) for every residue a coprime to q."""
-    if 2 * x > table.limit:
-        raise ValueError(f"need 2x <= sieve limit, got 2x = {2 * x}")
+    if not 0 < 2 * x <= table.limit:
+        raise ValueError(f"need 0 < 2x <= sieve limit, got 2x = {2 * x}")
     if q < 1:
         raise ValueError(f"need q >= 1, got {q}")
     phi_q = phi_of_int(q)
     bound = x / (2.0 * phi_q)
-    rows = []
-    for a in unit_sumsets(q, 1)[0]:
-        rows.append(ProgressionRow(
-            residue=a,
-            psi_value=psi_progression(table, 2 * x, q, a),
-            bound=bound,
-        ))
-    return ProgressionReport(x=x, q=q, phi_q=phi_q, rows=tuple(rows),
-                             vacuous=q >= 2 * x)
+    psi = _class_sums(table.values, int(math.floor(2 * x)), q)
+    rows = tuple(ProgressionRow(residue=a, psi_value=psi[a], bound=bound)
+                 for a in unit_sumsets(q, 1)[0])
+    return ProgressionReport(x=x, q=q, phi_q=phi_q, rows=rows, vacuous=q >= 2 * x)
 
 
 @dataclass(frozen=True)
@@ -143,15 +105,11 @@ class ChainReport:
 
 
 def _class_sums(values: np.ndarray, up_to: int, q: int) -> list[float]:
-    """sum of values[n] over n <= up_to with n = b (mod q), for each b."""
-    out = []
-    for b in range(q):
-        start = b if b != 0 else q
-        if start > up_to:
-            out.append(0.0)
-        else:
-            out.append(exact_sum(values[start : up_to + 1 : q]))
-    return out
+    """sum of values[n] over 1 <= n <= up_to with n = b (mod q), for each b.
+
+    up_to >= 0; an empty class is an fsum of an empty slice, exactly 0.0.
+    """
+    return [exact_sum(values[b or q : up_to + 1 : q]) for b in range(q)]
 
 
 def unit_sumsets(q: int, k: int) -> list[tuple[int, ...]]:
@@ -206,8 +164,8 @@ def chain_check(table: MangoldtTable, gtables: dict[int, GoldbachTable],
             )
         if gtables[level].k != level:
             raise ValueError(f"table at level {level} was built with k = {gtables[level].k}")
-    if 2 * x > table.limit:
-        raise ValueError(f"need 2x <= sieve limit, got 2x = {2 * x}")
+    if not 0 < 2 * x <= table.limit:
+        raise ValueError(f"need 0 < 2x <= sieve limit, got 2x = {2 * x}")
 
     phi_q = phi_of_int(q)
     coprime, *sumsets = unit_sumsets(q, k)
@@ -280,19 +238,16 @@ def max_gk_scan(gtable: GoldbachTable, x: float,
                 q: Primorial | None = None) -> MaxGkScan:
     """max G_k(n) over n <= 2kx, its primorial lower bound, and x^(k-1) loglog x.
 
-    A requested modulus with q >= 2x (where the construction is vacuous)
-    is replaced by the default-cutoff primorial and flagged.
+    q defaults to the default-cutoff primorial; a requested q >= 2x (where
+    the construction is vacuous) is replaced by it and flagged.
     """
     k = gtable.k
     scan_top = int(math.floor(2 * k * x))
     if gtable.limit < scan_top:
         raise ValueError(f"table limit {gtable.limit} < 2kx = {scan_top}")
-    fallback = False
-    if q is None:
+    fallback = q is not None and q.value >= 2 * x
+    if q is None or fallback:
         q = primorial(default_cutoff(x))
-    elif q.value >= 2 * x:
-        q = primorial(default_cutoff(x))
-        fallback = True
     values = gtable.values[: scan_top + 1]
     argmax = int(np.argmax(values))
     bound = _max_g_bound(x, k, q.value, q.phi)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .accum import check_bound, exact_sum
 from .goldbach import PrefixSums
-from .mangoldt import MangoldtTable, PsiJQuery, riesz_psi_j
+from .mangoldt import MangoldtTable, riesz_psi_j
 
 # Logarithmic derivative of zeta at 0 and -1; the constant terms of the
 # explicit formula for psi_1.
@@ -28,6 +28,9 @@ ZETA_LOGDERIV_0 = 1.8378770664093455  # log(2 pi)
 ZETA_LOGDERIV_M1 = 1.9850537244054112
 
 _BUNDLED_RESOURCE = "zeros100.txt"
+
+# Exponent slack eps of the power normalization X^(k-1/2+eps) in residual reports.
+RESIDUAL_EPS = 0.05
 
 
 class ZeroFormatError(ValueError):
@@ -213,7 +216,7 @@ def psij_explicit(zeros: ZeroTable, table: MangoldtTable, j: int, x: float) -> t
     if j < 1:
         raise ValueError(f"need j >= 1, got {j}")
     formula = x ** (j + 1) / math.factorial(j + 1) - _zero_sum(zeros, j + 1, x)
-    direct = riesz_psi_j(table, PsiJQuery(j, x))
+    direct = riesz_psi_j(table, j, x)
     return formula, direct
 
 
@@ -233,9 +236,10 @@ class ResidualReport:
     """Per-X bookkeeping of S_k(X) - X^k/k! - H_k(X).
 
     normalized divides |residual| by X^(k-1) log^3 X; power_normalized by
-    X^(k-1/2+eps).  The residual column is the exact float difference of
-    the other three (identity by construction), and truncation_estimate is
-    the zero-sum tail estimate at the largest grid point.
+    X^(k-1/2+eps) with eps = RESIDUAL_EPS.  The residual column is the exact
+    float difference of the other three (identity by construction), and
+    truncation_estimate is the zero-sum tail estimate at the largest grid
+    point.
     """
 
     k: int
@@ -245,9 +249,8 @@ class ResidualReport:
     truncation_estimate: float
 
 
-def residual_report(prefix: PrefixSums, zeros: ZeroTable, x_grid,
-                    eps: float = 0.05) -> ResidualReport:
-    """Evaluate the average-order residual on a grid of integer X."""
+def residual_report(prefix: PrefixSums, zeros: ZeroTable, x_grid) -> ResidualReport:
+    """Evaluate the average-order residual on a grid of integer X (eps = RESIDUAL_EPS)."""
     k = prefix.k
     rows = []
     tail_last = 0.0
@@ -265,9 +268,9 @@ def residual_report(prefix: PrefixSums, zeros: ZeroTable, x_grid,
             h_value=h_val,
             residual=residual,
             normalized=abs(residual) / (float(x) ** (k - 1) * math.log(x) ** 3),
-            power_normalized=abs(residual) / float(x) ** (k - 0.5 + eps),
+            power_normalized=abs(residual) / float(x) ** (k - 0.5 + RESIDUAL_EPS),
         ))
-    return ResidualReport(k=k, eps=eps, rows=tuple(rows),
+    return ResidualReport(k=k, eps=RESIDUAL_EPS, rows=tuple(rows),
                           zeros_used=len(zeros), truncation_estimate=tail_last)
 
 

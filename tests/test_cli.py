@@ -236,11 +236,32 @@ def test_omega_scan_fallback_is_reported(tmp_path, capsys):
     (("circle-check", "--n", "500", "--nodes", "100"), "100 nodes would alias"),
     (("circle-check", "--n", "100", "--delta", "1.5"), "need 0 < delta < 1"),
     (("sieve", "--limit", "1"), "need limit >= 2"),
+    (("circle-check", "--n", "50", "--nodes", "0"), "0 nodes would alias"),
+    (("omega-scan", "--x-grid", "64:64:2", "--y", "0"), "need y >= 2"),
+    (("omega-scan", "--x-grid", "64:64:2", "--y", "1"), "need y >= 2"),
+    (("omega-scan", "--x-grid", "64:64:2", "--k", "1"), "need k >= 2"),
+    (("singular-series", "--k", "1", "--n", "30"), "need k >= 2"),
+    (("singular-series", "--k", "2", "--n", "0"), "need n >= 1"),
+    (("singular-series", "--k", "2", "--n", "30", "--cutoff", "1"), "need prime cutoff >= 2"),
+    (("identities", "--kmax", "0"), "need kmax >= 2"),
+    (("residual", "--k", "2", "--limit", "64", "--grid", "8:64:2", "--eps", "0.3"),
+     "unrecognized arguments: --eps 0.3"),
 ])
 def test_flag_errors_exit_1(capsys, argv, message):
     code, _, err = run_cli(capsys, *argv)
     assert code == 1
     assert message in err
+
+
+def test_circle_nodes_refused_before_allocating(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise MemoryError("allocated before checking the node count")
+
+    monkeypatch.setattr(circle.np, "arange", refuse)
+    monkeypatch.setattr(mangoldt, "build_mangoldt", refuse)
+    code, _, err = run_cli(capsys, "circle-check", "--n", "100", "--nodes", str(10**10))
+    assert code == 2
+    assert "exceeds supported size" in err
 
 
 def test_bound_exceeded_is_a_computation_error(monkeypatch, capsys):

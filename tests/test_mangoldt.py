@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from goldbachkit import (
-    PsiJQuery,
     build_mangoldt,
     chebyshev_psi,
     distinct_prime_factors,
     phi_of_int,
     primorial,
+    progression_bound_check,
     psi_integral_check,
     psi_progression,
     psi_shift_check,
@@ -116,26 +116,26 @@ def test_psi_monotone(sieve_10k):
 
 def test_riesz_j0_bit_identical(sieve_10k):
     for x in (1.0, 2.0, 10.0, 97.5, 1000.0, 9999.0):
-        assert riesz_psi_j(sieve_10k, PsiJQuery(0, x)) == chebyshev_psi(sieve_10k, x)
+        assert riesz_psi_j(sieve_10k, 0, x) == chebyshev_psi(sieve_10k, x)
 
 
 def test_riesz_hand_values(sieve_10k):
-    assert riesz_psi_j(sieve_10k, PsiJQuery(1, 3.0)) == pytest.approx(LOG2, rel=1e-15)
+    assert riesz_psi_j(sieve_10k, 1, 3.0) == pytest.approx(LOG2, rel=1e-15)
     expected = 2 * LOG2 + LOG3 / 2
-    assert riesz_psi_j(sieve_10k, PsiJQuery(2, 4.0)) == pytest.approx(expected, rel=1e-15)
+    assert riesz_psi_j(sieve_10k, 2, 4.0) == pytest.approx(expected, rel=1e-15)
 
 
 def test_riesz_nonnegative(sieve_10k):
     for j in range(5):
         for x in (1.0, 7.0, 64.0, 999.0):
-            assert riesz_psi_j(sieve_10k, PsiJQuery(j, x)) >= 0.0
+            assert riesz_psi_j(sieve_10k, j, x) >= 0.0
 
 
-def test_psijquery_validation():
-    with pytest.raises(ValueError):
-        PsiJQuery(-1, 10.0)
-    with pytest.raises(ValueError):
-        PsiJQuery(0, 0.5)
+def test_psijquery_validation(sieve_10k):
+    with pytest.raises(ValueError, match="Riesz order"):
+        riesz_psi_j(sieve_10k, -1, 10.0)
+    with pytest.raises(ValueError, match="evaluation point"):
+        riesz_psi_j(sieve_10k, 0, 0.5)
 
 
 def test_shift_check(sieve_10k):
@@ -145,9 +145,7 @@ def test_shift_check(sieve_10k):
     assert diff / scale < 3.0
 
     diff2, _ = psi_shift_check(sieve_10k, 2, 10.0)
-    brute = riesz_psi_j(sieve_10k, PsiJQuery(2, 11.0)) - riesz_psi_j(
-        sieve_10k, PsiJQuery(2, 10.0)
-    )
+    brute = riesz_psi_j(sieve_10k, 2, 11.0) - riesz_psi_j(sieve_10k, 2, 10.0)
     assert diff2 == pytest.approx(brute, rel=1e-12)
 
     diff3, _ = psi_shift_check(sieve_10k, 1, 1.0)
@@ -181,9 +179,17 @@ def test_progression_examples(sieve_10k):
 
 @pytest.mark.parametrize("q", [1, 2, 3, 4, 6, 30, 97])
 def test_progression_partition(sieve_10k, q):
-    x = 5000.0
-    total = math.fsum(psi_progression(sieve_10k, x, q, a) for a in range(q))
-    assert total == pytest.approx(chebyshev_psi(sieve_10k, x), rel=1e-9)
+    # at x = 10, q = 30 and 97 leave most classes empty
+    for x in (5000.0, 10.0):
+        classes = [psi_progression(sieve_10k, x, q, a) for a in range(q)]
+        assert math.fsum(classes) == pytest.approx(chebyshev_psi(sieve_10k, x), rel=1e-9)
+        for a, value in enumerate(classes):
+            if (a or q) > x:  # no n in [1, x] is congruent to a
+                assert value == 0.0
+        rows = progression_bound_check(sieve_10k, x / 2, q).rows
+        assert {row.residue: row.psi_value for row in rows} == {
+            a: classes[a] for a in range(q) if math.gcd(a, q) == 1
+        }
 
 
 def test_primorial_examples():

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from goldbachkit import (
-    OmegaConfig,
     chain_check,
     default_cutoff,
     gk_direct,
@@ -14,7 +13,6 @@ from goldbachkit import (
     phi_of_int,
     primorial,
     progression_bound_check,
-    psi_progression,
     sk_prefix,
 )
 from goldbachkit.omega import EULER_GAMMA
@@ -98,6 +96,11 @@ def test_chain_validation(sieve_10k):
     g2_short = gk_fft(sieve_10k, 2, 100)
     with pytest.raises(ValueError):
         chain_check(sieve_10k, {2: g2_short}, 200.0, 2)  # table too short
+    # x <= 0 would turn the class slices' bound negative
+    with pytest.raises(ValueError, match="need 0 < 2x"):
+        chain_check(sieve_10k, {2: g2_short}, -1.0, 2)
+    with pytest.raises(ValueError, match="need 0 < 2x"):
+        progression_bound_check(sieve_10k, -1.0, 6)
 
 
 def test_partition_identity(sieve_10k):
@@ -162,13 +165,7 @@ def test_mertens_product_monotone():
 
 
 def test_omega_config():
-    config = OmegaConfig(k=2, x=100.0)
-    assert config.cutoff == pytest.approx(default_cutoff(100.0))
-    assert config.modulus.value == 6  # primes below log(100) ~ 4.6
-    with pytest.raises(ValueError):
-        OmegaConfig(k=1, x=100.0)
-    with pytest.raises(ValueError):
-        OmegaConfig(k=2, x=100.0, exceptional_modulus=3)
+    assert primorial(default_cutoff(100.0)).value == 6  # primes below log(100) ~ 4.6
 
 
 def test_phi_int_consistency():
