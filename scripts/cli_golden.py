@@ -73,7 +73,11 @@ COMMANDS = [
     ("omega-scan-y11",
      ["omega-scan", "--k", "2", "--x-grid", "64:256:2", "--y", "11", "--output", "chain.csv",
       "--maxg-output", "maxg.csv"], ["chain.csv", "maxg.csv"]),
-    ("identities", ["identities", "--kmax", "25"], []),
+    # q = 2310, phi(q) = 480: levels 2 and 3 over many classes, fallback below x = 1155
+    ("omega-scan-k3-y13",
+     ["omega-scan", "--k", "3", "--x-grid", "64:1024:2", "--y", "13", "--output", "chain.csv",
+      "--maxg-output", "maxg.csv"], ["chain.csv", "maxg.csv"]),
+    ("identities",["identities", "--kmax", "25"], []),
     ("singular-series-k2", ["singular-series", "--k", "2", "--n", "30030"], []),
     ("singular-series-k3-file",
      ["singular-series", "--k", "3", "--n", "1001", "--cutoff", "1000",

@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .accum import check_bound, exact_sum, max_discrepancy
-from .goldbach import DIRECT_ORACLE_CAP, gk_direct, gk_fft, sk_prefix
+from .goldbach import _convolution_powers, gk_fft, sk_prefix
 from .identities import solve_ak
 from .mangoldt import MangoldtTable, chebyshev_psi
 
@@ -441,8 +441,8 @@ def fz_powerseries_identity(table: MangoldtTable, k: int, n: int) -> float:
         raise ValueError(f"need k >= 2, got {k}")
     if n > table.limit:
         raise ValueError(f"{n} exceeds sieve limit {table.limit}")
-    conv = gk_direct(table, k, n, cap=max(n, DIRECT_ORACLE_CAP)).values
     fft_table = gk_fft(table, k, n)
+    conv = _convolution_powers(table.values[: n + 1], k, n + 1)[-1]
     scale = float(np.max(np.abs(conv)))
     worst = max_discrepancy(conv, fft_table.values, scale=scale)
 

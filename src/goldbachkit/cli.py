@@ -230,6 +230,16 @@ def _cmd_circle_check(args) -> int:
     return 0
 
 
+def _primorial_exceeds(y: float, bound: int) -> bool:
+    """Whether the primes p < y multiply past ``bound``; stops as soon as they do."""
+    product, p = 1, 2
+    while p < y and product <= bound:
+        if mangoldt.distinct_prime_factors(p) == [p]:
+            product *= p
+        p += 1
+    return product > bound
+
+
 def _cmd_omega_scan(args) -> int:
     grid = _parse_grid(args.x_grid)
     if grid[0] < 2:
@@ -240,6 +250,10 @@ def _cmd_omega_scan(args) -> int:
     if args.y is not None and args.y < 2:
         raise CliError(f"need y >= 2, got {args.y}")
     x_max = grid[-1]
+    # a q beyond the largest G table splits it into classes of at most one entry
+    if args.y is not None and _primorial_exceeds(args.y, 2 * k * x_max):
+        raise CliError(f"q = product of the primes below y = {args.y:g} exceeds "
+                       f"2k*x_max = {2 * k * x_max}, the largest G table's limit; lower --y")
     sieve, tables = _build_tables(
         2 * k * x_max, [("fft", level, 2 * level * x_max) for level in range(2, k + 1)]
     )

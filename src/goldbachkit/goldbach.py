@@ -16,7 +16,7 @@ import numpy as np
 from .accum import running_prefix, weighted_power_sum
 from .mangoldt import MAX_TABLE_LEN, MangoldtTable, distinct_prime_factors, primes_up_to
 
-# Direct convolutions are O(k N^2); beyond this cap callers must opt in.
+# Direct convolutions are O(k N^2); gk_direct refuses longer tables.
 DIRECT_ORACLE_CAP = 8192
 
 
@@ -116,33 +116,33 @@ def _check_build_args(table: MangoldtTable, k: int, limit: int) -> None:
         raise ValueError(f"need a positive limit, got {limit}")
 
 
-def _convolution_power(base: np.ndarray, k: int, length: int) -> np.ndarray:
-    """k-fold direct convolution of ``base`` with itself, first ``length`` terms.
+def _convolution_powers(base: np.ndarray, k: int, length: int) -> list[np.ndarray]:
+    """[base, base^2, ..., base^k] under direct convolution, first ``length`` terms.
 
-    ``base`` is zero-padded to ``length`` and every stage is truncated
+    ``base`` is zero-padded to ``length`` and every power is truncated
     there: indices only add up under convolution, so terms beyond the
     truncation can never fall back into range.
     """
-    out = np.zeros(length)
-    out[: len(base)] = base[:length]
+    first = np.zeros(length)
+    first[: len(base)] = base[:length]
+    powers = [first]
     for _ in range(k - 1):
-        out = np.convolve(out, base)[:length]
-    return out
+        powers.append(np.convolve(powers[-1], base)[:length])
+    return powers
 
 
-def gk_direct(table: MangoldtTable, k: int, limit: int,
-              cap: int = DIRECT_ORACLE_CAP) -> GoldbachTable:
+def gk_direct(table: MangoldtTable, k: int, limit: int) -> GoldbachTable:
     """G_k by k-1 successive exact direct convolutions (the oracle route).
 
     Intermediate stages are truncated at ``limit``: parts are >= 1, so
     partial sums beyond the limit can never fall back into range.
     """
     _check_build_args(table, k, limit)
-    if limit > cap:
+    if limit > DIRECT_ORACLE_CAP:
         raise ValueError(
-            f"direct oracle capped at {cap} (O(k N^2)); requested {limit}"
+            f"direct oracle capped at {DIRECT_ORACLE_CAP} (O(k N^2)); requested {limit}"
         )
-    out = _convolution_power(table.values[: limit + 1], k, limit + 1)
+    out = _convolution_powers(table.values[: limit + 1], k, limit + 1)[-1]
     return GoldbachTable(k=k, limit=limit, values=out, method="direct")
 
 
@@ -187,7 +187,7 @@ def bk_truncated(table: MangoldtTable, k: int, n: int, x: float) -> float:
     cap = min(int(math.floor(x)), n)
     base = np.zeros(cap + 1)
     base[1:] = table.values[1 : cap + 1] - 1.0
-    return float(_convolution_power(base, k, n + 1)[n])
+    return float(_convolution_powers(base, k, n + 1)[-1][n])
 
 
 def bk_decomposition_check(table: MangoldtTable, k: int, n: int) -> tuple[float, float]:
@@ -210,15 +210,13 @@ def bk_decomposition_check(table: MangoldtTable, k: int, n: int) -> tuple[float,
         raise ValueError(f"need k <= n <= sieve limit, got n = {n}")
     lhs = bk_truncated(table, k, n, float(n))
 
-    # G_1 = Lambda; higher tables by direct convolution up to n.
-    tables: dict[int, np.ndarray] = {1: table.values[: n + 1]}
-    for level in range(2, k + 1):
-        tables[level] = gk_direct(table, level, n, cap=max(n, DIRECT_ORACLE_CAP)).values
+    # G_1 = Lambda, ..., G_k up to n by one direct-convolution ladder.
+    tables = _convolution_powers(table.values[: n + 1], k, n + 1)
 
     terms: list[float] = []
-    terms.append(float(tables[k][n]))  # i = 0
+    terms.append(float(tables[k - 1][n]))  # i = 0
     for i in range(1, k):
-        g = tables[k - i]
+        g = tables[k - i - 1]
         inner = [
             math.comb(n - m - 1, i - 1) * float(g[m])
             for m in range(max(1, k - i), n - i + 1)

@@ -50,17 +50,11 @@ class Primorial:
 
     @property
     def value(self) -> int:
-        result = 1
-        for p in self.primes:
-            result *= p
-        return result
+        return math.prod(self.primes)
 
     @property
     def phi(self) -> int:
-        result = 1
-        for p in self.primes:
-            result *= p - 1
-        return result
+        return math.prod(p - 1 for p in self.primes)
 
 
 def primes_up_to(limit: int) -> np.ndarray:
@@ -172,9 +166,7 @@ def primorial(y: float) -> Primorial:
     """Product of all primes p < y, exact and factored."""
     if y < 2:
         raise ValueError(f"primorial cutoff must be >= 2, got {y}")
-    cutoff = math.ceil(y) - 1 if float(y).is_integer() else math.floor(y)
-    ps = primes_up_to(max(cutoff, 0))
-    return Primorial(primes=tuple(int(p) for p in ps))
+    return Primorial(primes=tuple(primes_up_to(math.ceil(y) - 1).tolist()))
 
 
 def distinct_prime_factors(n: int) -> list[int]:

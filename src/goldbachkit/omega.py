@@ -113,20 +113,21 @@ def _class_sums(values: np.ndarray, up_to: int, q: int) -> list[float]:
 
 
 def unit_sumsets(q: int, k: int) -> list[tuple[int, ...]]:
-    """Residues reachable as sums of 1, 2, ..., k units mod q.
+    """Residues reachable as sums of exactly L units mod q; entry [L-1] is level L.
 
     Level L of the chain concerns integers that are sums of L terms each
-    coprime to q, so only these classes can carry the stacked progression
-    mass.  (For even q no sum of two units is coprime to q: the level-2
-    admissible classes are all even.)  Entry [L-1] is the level-L set.
+    coprime to q; only these classes can carry the stacked progression
+    mass.  Level 1 is the units (0 when q = 1); level L >= 2 is every
+    residue = L (mod 2) when q is even, every residue when q is odd.
+
+    Proof, for any q >= 1, by the Chinese remainder theorem (sums of L units
+    modulo each p^e || q recombine into L units mod q): mod 2^e, L odd terms
+    reach exactly the residues of parity L; mod p^e with p odd, b = 1 +
+    (b - 1), or b = 2 + (b - 2) when p | b - 1.  Adding 1s covers L >= 2.
     """
-    units = [a for a in range(q) if q == 1 or math.gcd(a, q) == 1]
-    sets: list[tuple[int, ...]] = [tuple(units)]
-    current = set(units)
-    for _ in range(k - 1):
-        current = {(b + a) % q for b in current for a in units}
-        sets.append(tuple(sorted(current)))
-    return sets
+    step = 2 if q % 2 == 0 else 1
+    units = tuple(a for a in range(q) if math.gcd(a, q) == 1)
+    return [units] + [tuple(range(level % step, q, step)) for level in range(2, k + 1)]
 
 
 def _max_g_bound(x: float, k: int, q: int, phi_q: int) -> float:
@@ -146,9 +147,10 @@ def chain_check(table: MangoldtTable, gtables: dict[int, GoldbachTable],
       mid_L(b) = sum_{(a,q)=1} psi(2x; q, a) * lhs_{L-1}(b - a)
 
     with lhs_1 the psi progressions themselves.  mid is also recomputed
-    from first principles (iterating over prime powers m <= 2x instead of
-    residue classes); the two groupings are algebraically identical and
-    their relative gap is reported as consistency_error.
+    from first principles (iterating over prime powers m <= 2x coprime to
+    q instead of residue classes) in the same pass; the two groupings are
+    algebraically identical and their relative gap is reported as
+    consistency_error.
     """
     if q < 1:
         raise ValueError(f"need q >= 1, got {q}")
@@ -170,37 +172,27 @@ def chain_check(table: MangoldtTable, gtables: dict[int, GoldbachTable],
     phi_q = phi_of_int(q)
     coprime, *sumsets = unit_sumsets(q, k)
     # level 1: psi(2x; q, b) per class b
-    psi = prev_class_sums = _class_sums(table.values, int(math.floor(2 * x)), q)
+    m_top = int(math.floor(2 * x))
+    psi = prev_class_sums = _class_sums(table.values, m_top, q)
+    # the prime powers m <= 2x coprime to q, for the direct grouping of mid
+    powers = [(m, table.values[m]) for m in np.flatnonzero(table.values[: m_top + 1]).tolist()
+              if math.gcd(m, q) == 1]
 
     report_levels = []
     for level, residues in zip(range(2, k + 1), sumsets):
-        up_to = int(math.floor(2 * level * x))
-        cls = _class_sums(gtables[level].values, up_to, q)
-        mid = {}
-        for b in residues:
-            mid[b] = math.fsum(
-                psi[a] * prev_class_sums[(b - a) % q] for a in coprime
-            )
-        # independent grouping: iterate prime powers directly
-        mid_direct = {b: [] for b in residues}
-        m_top = int(math.floor(2 * x))
-        for m in range(1, m_top + 1):
-            lam = table.values[m]
-            if lam == 0.0:
-                continue
-            if q > 1 and math.gcd(m, q) != 1:
-                continue
-            for b in residues:
-                mid_direct[b].append(lam * prev_class_sums[(b - m) % q])
+        cls = _class_sums(gtables[level].values, int(math.floor(2 * level * x)), q)
+        mids = []
         consistency = 0.0
         for b in residues:
-            direct = math.fsum(mid_direct[b])
-            denom = max(abs(mid[b]), abs(direct), 1e-300)
-            consistency = max(consistency, abs(mid[b] - direct) / denom)
+            mid = math.fsum(psi[a] * prev_class_sums[(b - a) % q] for a in coprime)
+            direct = math.fsum(lam * prev_class_sums[(b - m) % q] for m, lam in powers)
+            consistency = max(consistency,
+                              abs(mid - direct) / max(abs(mid), abs(direct), 1e-300))
+            mids.append(mid)
 
         rhs = x**level / (2.0**level * phi_q)
         min_lhs = min(cls[b] for b in residues)
-        min_mid = min(mid[b] for b in residues)
+        min_mid = min(mids)
         report_levels.append(ChainLevel(
             level=level,
             residues=residues,

@@ -344,6 +344,11 @@ def test_fz_identity(sieve_10k):
     assert fz_powerseries_identity(sieve_10k, 3, 256) <= 1e-9
 
 
+def test_fz_identity_above_oracle_cap(sieve_10k):
+    # the direct side is the convolution ladder, not the capped gk_direct
+    assert fz_powerseries_identity(sieve_10k, 2, 8300) <= 1e-9
+
+
 def test_grid_validation():
     with pytest.raises(ValueError):
         CircleGrid(n=100, nodes=100)

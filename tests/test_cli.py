@@ -78,6 +78,27 @@ def test_fft_size_refused_before_sieving(monkeypatch, capsys, argv):
     assert sieved == []
 
 
+@pytest.mark.parametrize("x_grid, y, bound", [
+    ("64:64:2", "30", 256),
+    ("64:64:2", "1e12", 256),
+    # y below 2k*x_max + 1: still decided without the primorial of y
+    ("1000000:1000000:2", "3e6", 4000000),
+])
+def test_omega_modulus_refused_before_sieving(monkeypatch, capsys, x_grid, y, bound):
+    built = []
+
+    def refuse(arg):
+        built.append(arg)
+        raise MemoryError(f"built a table or primorial for {arg} before checking q")
+
+    monkeypatch.setattr(mangoldt, "build_mangoldt", refuse)
+    monkeypatch.setattr(mangoldt, "primorial", refuse)
+    code, _, err = run_cli(capsys, "omega-scan", "--x-grid", x_grid, "--y", y)
+    assert code == 1
+    assert f"exceeds 2k*x_max = {bound}" in err
+    assert built == []
+
+
 @pytest.mark.parametrize("argv", [
     ("sieve", "--limit", "134217728"),
     ("sieve", "--limit", "1000000000000"),

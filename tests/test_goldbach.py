@@ -147,8 +147,6 @@ def test_convolution_recursion(sieve_10k):
 def test_direct_cap(sieve_10k):
     with pytest.raises(ValueError):
         gk_direct(sieve_10k, 2, 9000)
-    # opting in via the cap parameter works
-    gk_direct(sieve_10k, 2, 8300, cap=8300)
 
 
 def test_prefix_sums(sieve_10k):
@@ -203,6 +201,12 @@ def test_bk_decomposition(sieve_10k):
     for k, n in [(2, 6), (3, 8), (2, 40), (3, 30), (4, 25)]:
         lhs, rhs = bk_decomposition_check(sieve_10k, k, n)
         assert lhs == pytest.approx(rhs, rel=1e-8, abs=1e-9), (k, n)
+
+
+def test_bk_decomposition_above_oracle_cap(sieve_10k):
+    # the convolution ladder has no cap: n = 8300 is past gk_direct's
+    lhs, rhs = bk_decomposition_check(sieve_10k, 2, 8300)
+    assert lhs == pytest.approx(rhs, rel=1e-8, abs=1e-9)
 
 
 def test_riesz_T(sieve_10k):

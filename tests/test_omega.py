@@ -15,7 +15,7 @@ from goldbachkit import (
     progression_bound_check,
     sk_prefix,
 )
-from goldbachkit.omega import EULER_GAMMA
+from goldbachkit.omega import EULER_GAMMA, unit_sumsets
 
 LOG2 = math.log(2)
 
@@ -172,3 +172,21 @@ def test_phi_int_consistency():
     assert phi_of_int(6) == 2
     assert phi_of_int(1) == 1
     assert phi_of_int(30030) == 5760
+
+
+def _sumsets_by_set_sums(q, k):
+    """Reference: the level sets built by brute-force set sums of units."""
+    units = [a for a in range(q) if math.gcd(a, q) == 1]
+    sets = [tuple(units)]
+    current = set(units)
+    for _ in range(k - 1):
+        current = {(b + a) % q for b in current for a in units}
+        sets.append(tuple(sorted(current)))
+    return sets
+
+
+def test_unit_sumsets_closed_form():
+    for q in range(1, 211):
+        reference = _sumsets_by_set_sums(q, 4)
+        for k in range(1, 5):
+            assert unit_sumsets(q, k) == reference[:k], (q, k)
