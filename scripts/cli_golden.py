@@ -77,7 +77,11 @@ COMMANDS = [
     ("omega-scan-k3-y13",
      ["omega-scan", "--k", "3", "--x-grid", "64:1024:2", "--y", "13", "--output", "chain.csv",
       "--maxg-output", "maxg.csv"], ["chain.csv", "maxg.csv"]),
-    ("identities",["identities", "--kmax", "25"], []),
+    # q = 2310 < 2x: every class holds entries, so both groupings of the chain are populated
+    ("omega-scan-k2-y13",
+     ["omega-scan", "--k", "2", "--x-grid", "2048:4096:2", "--y", "13", "--output", "chain.csv",
+      "--maxg-output", "maxg.csv"], ["chain.csv", "maxg.csv"]),
+    ("identities", ["identities", "--kmax", "25"], []),
     ("singular-series-k2", ["singular-series", "--k", "2", "--n", "30030"], []),
     ("singular-series-k3-file",
      ["singular-series", "--k", "3", "--n", "1001", "--cutoff", "1000",

@@ -35,7 +35,6 @@ from .goldbach import (
     bk_truncated,
     gk_direct,
     gk_fft,
-    riesz_T,
     singular_series,
     sk_prefix,
     write_goldbach_csv,
@@ -55,7 +54,6 @@ from .mangoldt import (
     build_mangoldt,
     chebyshev_psi,
     distinct_prime_factors,
-    phi_of_int,
     primes_up_to,
     primorial,
     psi_integral_check,

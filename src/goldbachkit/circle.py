@@ -195,8 +195,8 @@ def f_partial(table: MangoldtTable, z: complex, terms: int) -> PartialSeries:
     z = complex(z)
     if abs(z) >= 1.0:
         raise ValueError(f"need |z| < 1, got |z| = {abs(z)}")
-    if terms > table.limit:
-        raise ValueError(f"truncation {terms} exceeds sieve limit {table.limit}")
+    if not 0 <= terms <= table.limit:
+        raise ValueError(f"need 0 <= terms <= sieve limit {table.limit}, got {terms}")
     support = np.nonzero(table.values[: terms + 1])[0]
     real_parts: list[float] = []
     imag_parts: list[float] = []

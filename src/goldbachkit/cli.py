@@ -57,7 +57,7 @@ def _parse_grid(spec: str) -> list[int]:
         raise CliError(f"bad grid component in {spec!r}: {exc}") from None
     if start < 1 or stop < start:
         raise CliError(f"grid needs 1 <= start <= stop, got {spec!r}")
-    if ratio <= 1.0:
+    if not ratio > 1.0:
         raise CliError(f"geometric grid ratio must exceed 1, got {ratio}")
     values: list[int] = []
     current = float(start)
@@ -247,7 +247,7 @@ def _cmd_omega_scan(args) -> int:
     k = args.k
     if k < 2:
         raise CliError(f"need k >= 2, got {k}")
-    if args.y is not None and args.y < 2:
+    if args.y is not None and not args.y >= 2:
         raise CliError(f"need y >= 2, got {args.y}")
     x_max = grid[-1]
     # a q beyond the largest G table splits it into classes of at most one entry

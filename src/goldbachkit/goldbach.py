@@ -5,7 +5,9 @@ with n_1 + ... + n_k = n of Lambda(n_1) ... Lambda(n_k).  Two independent
 construction routes are kept: an exact direct convolution (the oracle) and
 an FFT route padded far enough that cyclic wraparound cannot occur.  On
 top of the tables: prefix sums S_k(X), the part-capped variant with
-coefficients Lambda - 1, Riesz means, and the singular series.
+coefficients Lambda - 1, and the singular series.  The Riesz means
+T_j(x) = (1/j!) sum_{n <= x} (x-n)^j G_k(n) are mangoldt.riesz_psi_j of a
+G_k table.
 """
 
 import math
@@ -13,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .accum import running_prefix, weighted_power_sum
+from .accum import running_prefix
 from .mangoldt import MAX_TABLE_LEN, MangoldtTable, distinct_prime_factors, primes_up_to
 
 # Direct convolutions are O(k N^2); gk_direct refuses longer tables.
@@ -101,8 +103,8 @@ class SingularSeriesQuery:
             raise ValueError(f"need k >= 2, got {self.k}")
         if self.n < 1:
             raise ValueError(f"need n >= 1, got {self.n}")
-        if self.prime_cutoff < 2:
-            raise ValueError(f"need prime cutoff >= 2, got {self.prime_cutoff}")
+        if not 2 <= self.prime_cutoff < math.inf:
+            raise ValueError(f"need prime cutoff >= 2 and finite, got {self.prime_cutoff}")
 
 
 def _check_build_args(table: MangoldtTable, k: int, limit: int) -> None:
@@ -224,15 +226,6 @@ def bk_decomposition_check(table: MangoldtTable, k: int, n: int) -> tuple[float,
         terms.append((-1) ** i * math.comb(k, i) * math.fsum(inner))
     terms.append((-1) ** k * math.comb(n - 1, k - 1))  # i = k
     return lhs, math.fsum(terms)
-
-
-def riesz_T(j: int, x: float, table: GoldbachTable) -> float:
-    """T_j(x) = (1/j!) sum_{n <= x} (x-n)^j G_k(n); T_0 is S_k(x)."""
-    if j < 0:
-        raise ValueError(f"need j >= 0, got {j}")
-    if x > table.limit:
-        raise ValueError(f"{x} exceeds table limit {table.limit}")
-    return weighted_power_sum(table.values, x, j) / math.factorial(j)
 
 
 def singular_series(query: SingularSeriesQuery) -> tuple[float, float]:

@@ -37,11 +37,9 @@ def solve_ak(k: int) -> list[int]:
     """
     if k < 1:
         raise ValueError("need k >= 1")
+    f = [0] + [f_ki(i, k) for i in range(1, k + 1)]  # f[i] = f_{i,k}
     return [
-        sum(
-            (-1) ** (i - j) * math.comb(i, j) * f_ki(i, k)
-            for i in range(max(j, 1), k + 1)
-        )
+        sum((-1) ** (i - j) * math.comb(i, j) * f[i] for i in range(max(j, 1), k + 1))
         for j in range(k + 1)
     ]
 

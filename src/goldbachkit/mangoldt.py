@@ -3,8 +3,8 @@
 Builds von Mangoldt tables Lambda(n) from one Eratosthenes prime sieve,
 and evaluates the Chebyshev-type sums every other module feeds on:
 psi(x), the Riesz means psi_j(x) = (1/j!) sum_{n<=x} Lambda(n)(x-n)^j,
-restricted sums over arithmetic progressions, exact primorials, and the
-integer factoring and Euler phi of a plain modulus.
+sums over one residue class, exact primorials, and the integer factoring
+of a plain modulus.
 
 Tables are immutable after construction (the value arrays are marked
 read-only), so concurrent readers are always safe.
@@ -111,13 +111,15 @@ def chebyshev_psi(table: MangoldtTable, x: float) -> float:
     return exact_sum(table.values[1 : m + 1])
 
 
-def riesz_psi_j(table: MangoldtTable, j: int, x: float) -> float:
+def riesz_psi_j(table, j: int, x: float) -> float:
     """psi_j(x) = (1/j!) sum_{n <= x} Lambda(n) (x-n)^j, for j >= 0 and x >= 1.
 
+    The order-j Riesz mean of any table with ``values`` and ``limit``; of a
+    G_k table it is T_j(x) = (1/j!) sum_{n <= x} (x-n)^j G_k(n), T_0 = S_k(x).
     Computed as a direct weighted sum (never by recursion on j) in the same
     ascending compensated order as chebyshev_psi; for j = 0 each weight is
     exactly 1.0 so the result is bit-for-bit equal to chebyshev_psi.
-    Raises ValueError for j < 0, x < 1 and x beyond the sieve limit.
+    Raises ValueError for j < 0, x < 1 and x beyond the table's limit.
     """
     if j < 0:
         raise ValueError(f"Riesz order must be >= 0, got {j}")
@@ -151,8 +153,13 @@ def psi_integral_check(table: MangoldtTable, j: int, x: float) -> tuple[float, f
     return riesz_psi_j(table, j, x), riesz_integral(table.values, j - 1, x)
 
 
-def psi_progression(table: MangoldtTable, x: float, q: int, a: int) -> float:
-    """psi(x; q, a) = sum_{n <= x, n == a (mod q)} Lambda(n)."""
+def psi_progression(table, x: float, q: int, a: int) -> float:
+    """psi(x; q, a) = sum_{n <= x, n == a (mod q)} Lambda(n), compensated.
+
+    The one residue-class sum of the package: any table with ``values``
+    and ``limit`` is summed the same way (a G_k table gives the class sums
+    of G_k).  An empty class is an fsum of an empty slice, exactly 0.0.
+    """
     if q < 1:
         raise ValueError(f"modulus must be >= 1, got {q}")
     _check_range(table, x)
@@ -164,8 +171,8 @@ def psi_progression(table: MangoldtTable, x: float, q: int, a: int) -> float:
 
 def primorial(y: float) -> Primorial:
     """Product of all primes p < y, exact and factored."""
-    if y < 2:
-        raise ValueError(f"primorial cutoff must be >= 2, got {y}")
+    if not 2 <= y < math.inf:
+        raise ValueError(f"primorial cutoff must be >= 2 and finite, got {y}")
     return Primorial(primes=tuple(primes_up_to(math.ceil(y) - 1).tolist()))
 
 
@@ -185,13 +192,3 @@ def distinct_prime_factors(n: int) -> list[int]:
     if m > 1:
         out.append(m)
     return out
-
-
-def phi_of_int(q: int) -> int:
-    """phi(q) for a plain integer modulus, from its distinct prime factors."""
-    if q < 1:
-        raise ValueError(f"modulus must be >= 1, got {q}")
-    result = q
-    for p in distinct_prime_factors(q):
-        result -= result // p
-    return result

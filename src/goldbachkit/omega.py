@@ -29,7 +29,7 @@ import numpy as np
 
 from .accum import exact_sum
 from .goldbach import GoldbachTable
-from .mangoldt import MangoldtTable, Primorial, phi_of_int, primorial
+from .mangoldt import MangoldtTable, Primorial, primorial, psi_progression
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -69,11 +69,11 @@ def progression_bound_check(table: MangoldtTable, x: float, q: int) -> Progressi
         raise ValueError(f"need 0 < 2x <= sieve limit, got 2x = {2 * x}")
     if q < 1:
         raise ValueError(f"need q >= 1, got {q}")
-    phi_q = phi_of_int(q)
+    units = unit_sumsets(q, 1)[0]
+    phi_q = len(units)
     bound = x / (2.0 * phi_q)
-    psi = _class_sums(table.values, int(math.floor(2 * x)), q)
-    rows = tuple(ProgressionRow(residue=a, psi_value=psi[a], bound=bound)
-                 for a in unit_sumsets(q, 1)[0])
+    psi = _class_sums(table, int(math.floor(2 * x)), q).tolist()
+    rows = tuple(ProgressionRow(residue=a, psi_value=psi[a], bound=bound) for a in units)
     return ProgressionReport(x=x, q=q, phi_q=phi_q, rows=rows, vacuous=q >= 2 * x)
 
 
@@ -99,17 +99,13 @@ class ChainReport:
     max_g: float
     max_g_bound: float
 
-    @property
-    def max_g_ratio(self) -> float:
-        return self.max_g / self.max_g_bound
 
+def _class_sums(table, up_to: int, q: int) -> np.ndarray:
+    """psi_progression(table, up_to, q, b) for b = 0..q-1, indexed by b.
 
-def _class_sums(values: np.ndarray, up_to: int, q: int) -> list[float]:
-    """sum of values[n] over 1 <= n <= up_to with n = b (mod q), for each b.
-
-    up_to >= 0; an empty class is an fsum of an empty slice, exactly 0.0.
+    ``table`` is a Mangoldt or a G_k table; 0 <= up_to <= table.limit.
     """
-    return [exact_sum(values[b or q : up_to + 1 : q]) for b in range(q)]
+    return np.array([psi_progression(table, up_to, q, b) for b in range(q)])
 
 
 def unit_sumsets(q: int, k: int) -> list[tuple[int, ...]]:
@@ -146,11 +142,13 @@ def chain_check(table: MangoldtTable, gtables: dict[int, GoldbachTable],
       lhs_L(b) = sum_{n <= 2Lx, n = b (q)} G_L(n)
       mid_L(b) = sum_{(a,q)=1} psi(2x; q, a) * lhs_{L-1}(b - a)
 
-    with lhs_1 the psi progressions themselves.  mid is also recomputed
-    from first principles (iterating over prime powers m <= 2x coprime to
-    q instead of residue classes) in the same pass; the two groupings are
-    algebraically identical and their relative gap is reported as
-    consistency_error.
+    with lhs_1 the psi progressions themselves.  mid is regrouped over the
+    prime powers m <= 2x coprime to q, sum_m Lambda(m) lhs_{L-1}(b - m);
+    the largest relative gap of the two groupings is consistency_error.
+    Each is one numpy gather and one fsum of terms >= 0 on the same
+    lhs_{L-1}: a mid term carries <= 2u (psi's fsum, the product), a
+    direct term <= u, each fsum <= u, so consistency_error <= 5u to first
+    order (u = 2^-53).  phi(q) is the number of units mod q.
     """
     if q < 1:
         raise ValueError(f"need q >= 1, got {q}")
@@ -169,29 +167,32 @@ def chain_check(table: MangoldtTable, gtables: dict[int, GoldbachTable],
     if not 0 < 2 * x <= table.limit:
         raise ValueError(f"need 0 < 2x <= sieve limit, got 2x = {2 * x}")
 
-    phi_q = phi_of_int(q)
     coprime, *sumsets = unit_sumsets(q, k)
+    phi_q = len(coprime)
+    units = np.array(coprime)
     # level 1: psi(2x; q, b) per class b
     m_top = int(math.floor(2 * x))
-    psi = prev_class_sums = _class_sums(table.values, m_top, q)
+    psi = prev = _class_sums(table, m_top, q)
     # the prime powers m <= 2x coprime to q, for the direct grouping of mid
-    powers = [(m, table.values[m]) for m in np.flatnonzero(table.values[: m_top + 1]).tolist()
-              if math.gcd(m, q) == 1]
+    powers = np.flatnonzero(table.values[: m_top + 1])
+    powers = powers[np.gcd(powers, q) == 1]
+    lam = table.values[powers]
+    psi_units = psi[units]
 
     report_levels = []
     for level, residues in zip(range(2, k + 1), sumsets):
-        cls = _class_sums(gtables[level].values, int(math.floor(2 * level * x)), q)
+        cls = _class_sums(gtables[level], int(math.floor(2 * level * x)), q)
         mids = []
         consistency = 0.0
         for b in residues:
-            mid = math.fsum(psi[a] * prev_class_sums[(b - a) % q] for a in coprime)
-            direct = math.fsum(lam * prev_class_sums[(b - m) % q] for m, lam in powers)
+            mid = exact_sum(psi_units * prev[(b - units) % q])
+            direct = exact_sum(lam * prev[(b - powers) % q])
             consistency = max(consistency,
                               abs(mid - direct) / max(abs(mid), abs(direct), 1e-300))
             mids.append(mid)
 
         rhs = x**level / (2.0**level * phi_q)
-        min_lhs = min(cls[b] for b in residues)
+        min_lhs = float(cls[list(residues)].min())
         min_mid = min(mids)
         report_levels.append(ChainLevel(
             level=level,
@@ -202,10 +203,10 @@ def chain_check(table: MangoldtTable, gtables: dict[int, GoldbachTable],
             margin=min_lhs - rhs,
             consistency_error=consistency,
         ))
-        prev_class_sums = cls
+        prev = cls
 
     # the last level's class 0: the multiples of q up to 2kx
-    final_lhs = prev_class_sums[0]
+    final_lhs = float(prev[0])
     final_rhs = x**k / (2.0**k * phi_q)
     max_g = float(np.max(gtables[k].values[: int(math.floor(2 * k * x)) + 1]))
     return ChainReport(
@@ -262,7 +263,7 @@ def mertens_ratio(y: float) -> tuple[float, float]:
     to the reference tends to 1.  The product itself is nondecreasing in
     y; the ratio is not monotone (the reference grows between primes).
     """
-    if y < 3:
+    if not y >= 3:
         raise ValueError(f"need y >= 3, got {y}")
     q = primorial(y)
     product = 1.0

@@ -64,9 +64,11 @@ def hardy_z(t: float) -> float:
 
 
 def bracket_zero(lo: float, hi: float) -> float:
-    """Bisect a sign change of Z on [lo, hi] 80 times, down to machine width.
+    """Bisect a sign change of Z on [lo, hi] down to two adjacent doubles.
 
-    Raises ValueError when Z does not change sign on the interval.
+    Stops after 80 halvings, or once the midpoint rounds to an end point,
+    after which no halving can move either end.  Raises ValueError when Z
+    does not change sign on the interval.
     """
     f_lo = hardy_z(lo)
     f_hi = hardy_z(hi)
@@ -78,6 +80,8 @@ def bracket_zero(lo: float, hi: float) -> float:
         raise ValueError(f"no sign change of Z on [{lo}, {hi}]")
     for _ in range(80):
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
         f_mid = hardy_z(mid)
         if f_mid == 0.0:
             return mid

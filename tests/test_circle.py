@@ -212,6 +212,10 @@ def test_f_partial_values(sieve_10k):
 def test_f_partial_domain_and_tail(sieve_10k):
     with pytest.raises(ValueError):
         f_partial(sieve_10k, 1.0 + 0j, 10)
+    # a negative count would wrap the slice and sum up to limit - 3
+    with pytest.raises(ValueError, match="need 0 <= terms"):
+        f_partial(sieve_10k, 0.5, -3)
+    assert f_partial(sieve_10k, 0.5, 0).value == 0.0
     t100 = f_partial(sieve_10k, 0.9, 100).tail_bound
     t1000 = f_partial(sieve_10k, 0.9, 1000).tail_bound
     assert 0 < t1000 < t100

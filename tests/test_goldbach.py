@@ -12,7 +12,7 @@ from goldbachkit import (
     gk_direct,
     gk_fft,
     max_discrepancy,
-    riesz_T,
+    riesz_psi_j,
     singular_series,
     sk_prefix,
     write_goldbach_csv,
@@ -210,21 +210,30 @@ def test_bk_decomposition_above_oracle_cap(sieve_10k):
 
 
 def test_riesz_T(sieve_10k):
+    # T_j of a G_k table is riesz_psi_j of that table
     g2 = gk_direct(sieve_10k, 2, 600)
     prefix = sk_prefix(g2)
     for x in (6.0, 127.0, 600.0):
-        assert riesz_T(0, x, g2) == pytest.approx(prefix.sums[int(x)], rel=1e-12)
+        assert riesz_psi_j(g2, 0, x) == pytest.approx(prefix.sums[int(x)], rel=1e-12)
     expected = 2 * LOG2**2 + 2 * LOG2 * LOG3
-    assert riesz_T(1, 6.0, g2) == pytest.approx(expected, rel=1e-13)
+    assert riesz_psi_j(g2, 1, 6.0) == pytest.approx(expected, rel=1e-13)
+    with pytest.raises(ValueError, match="exceeds sieve limit"):
+        riesz_psi_j(g2, 1, 601.0)
 
 
 @pytest.mark.parametrize("j", [0, 1, 2])
 def test_riesz_T_integral_identity(sieve_10k, j):
     g2 = gk_direct(sieve_10k, 2, 512)
     for x in (10.0, 100.0, 500.0):
-        direct = riesz_T(j + 1, x, g2)
+        direct = riesz_psi_j(g2, j + 1, x)
         integral = riesz_integral(g2.values, j, x)
         assert direct == pytest.approx(integral, rel=1e-9, abs=1e-12)
+
+
+@pytest.mark.parametrize("cutoff", [1.0, math.nan, math.inf])
+def test_singular_series_query_refuses_bad_cutoff(cutoff):
+    with pytest.raises(ValueError, match="need prime cutoff >= 2"):
+        SingularSeriesQuery(2, 30, cutoff)
 
 
 def test_singular_series_odd_vanishes():

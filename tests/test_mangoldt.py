@@ -7,7 +7,7 @@ from goldbachkit import (
     build_mangoldt,
     chebyshev_psi,
     distinct_prime_factors,
-    phi_of_int,
+    gk_fft,
     primorial,
     progression_bound_check,
     psi_integral_check,
@@ -192,6 +192,16 @@ def test_progression_partition(sieve_10k, q):
         }
 
 
+def test_progression_of_a_goldbach_table(sieve_10k):
+    # the class sum takes any table with values and limit
+    g2 = gk_fft(sieve_10k, 2, 1000)
+    for q, a in ((1, 0), (6, 4), (30, 2), (30, -28)):
+        expected = math.fsum(g2.values[n] for n in range(1, 1001) if (n - a) % q == 0)
+        assert psi_progression(g2, 1000.0, q, a) == expected
+    with pytest.raises(ValueError, match="exceeds sieve limit"):
+        psi_progression(g2, 1001.0, 6, 4)
+
+
 def test_primorial_examples():
     assert primorial(3).value == 2
     assert primorial(3).phi == 1
@@ -200,6 +210,9 @@ def test_primorial_examples():
     assert primorial(20).value == 9699690
     with pytest.raises(ValueError):
         primorial(1.5)
+    for y in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="primorial cutoff must be >= 2"):
+            primorial(y)
 
 
 def test_primorial_is_exact_at_scale():
@@ -207,14 +220,6 @@ def test_primorial_is_exact_at_scale():
     q = primorial(100)
     assert q.value % 97 == 0 and q.value % 89 == 0
     assert q.value > 2**64
-
-
-def test_phi_of_int_matches_brute():
-    def brute(q):
-        return sum(1 for a in range(1, q + 1) if math.gcd(a, q) == 1)
-
-    for q in range(1, 200):
-        assert phi_of_int(q) == brute(q)
 
 
 def test_distinct_prime_factors_matches_brute():

@@ -10,7 +10,6 @@ from goldbachkit import (
     gk_fft,
     max_gk_scan,
     mertens_ratio,
-    phi_of_int,
     primorial,
     progression_bound_check,
     sk_prefix,
@@ -18,6 +17,7 @@ from goldbachkit import (
 from goldbachkit.omega import EULER_GAMMA, unit_sumsets
 
 LOG2 = math.log(2)
+U = 2.0**-53  # unit roundoff of float64
 
 
 def test_progression_q2(sieve_10k):
@@ -65,7 +65,7 @@ def test_chain_k2_q6(sieve_10k):
     assert level.margin > 0.0
     assert level.min_mid >= level.rhs  # the aggregated middle bound too
     assert report.final_lhs > report.final_rhs
-    assert level.consistency_error <= 1e-6
+    assert level.consistency_error <= 5 * U  # the bound chain_check derives
 
 
 def test_chain_k3_q2(sieve_10k):
@@ -75,10 +75,37 @@ def test_chain_k3_q2(sieve_10k):
     assert [lvl.level for lvl in report.levels] == [2, 3]
     for lvl in report.levels:
         assert lvl.margin > 0.0
-        assert lvl.consistency_error <= 1e-6
+        assert lvl.consistency_error <= 5 * U
     assert report.final_lhs > report.final_rhs
     assert report.max_g >= report.max_g_bound
     assert report.max_g_bound == max_gk_scan(g3, 200.0, primorial(3)).primorial_bound
+
+
+@pytest.mark.parametrize("k, y, x", [(3, 11, 512.0), (2, 13, 2048.0)])
+def test_chain_populated_classes(sieve_10k, k, y, x):
+    # q = 210 and 2310 are below 2x, so every class of every level holds entries
+    prim = primorial(y)
+    q = prim.value
+    gtables = {level: gk_fft(sieve_10k, level, int(2 * level * x)) for level in range(2, k + 1)}
+    report = chain_check(sieve_10k, gtables, x, q)
+    assert report.phi_q == prim.phi
+    psi = [math.fsum(sieve_10k.values[a or q : int(2 * x) + 1 : q]) for a in range(q)]
+    units = [a for a in range(q) if math.gcd(a, q) == 1]
+    prev = psi
+    for level, lvl in zip(range(2, k + 1), report.levels):
+        assert lvl.residues == unit_sumsets(q, k)[level - 1]
+        cls = [math.fsum(gtables[level].values[b or q : int(2 * level * x) + 1 : q])
+               for b in range(q)]
+        assert all(cls[b] > 0.0 for b in lvl.residues)
+        assert lvl.min_lhs == min(cls[b] for b in lvl.residues)
+        # the scalar loop forms the same products, and fsum is correctly rounded
+        mids = [math.fsum(psi[a] * prev[(b - a) % q] for a in units) for b in lvl.residues]
+        assert lvl.min_mid == min(mids)
+        # mid_L(b) counts a subset of the compositions lhs_L(b) counts
+        assert lvl.min_mid <= lvl.min_lhs
+        assert lvl.consistency_error <= 5 * U
+        prev = cls
+    assert report.final_lhs == prev[0]
 
 
 def test_chain_phi1(sieve_10k):
@@ -159,6 +186,11 @@ def test_mertens_values():
     assert 0.99 <= product / reference <= 1.02
 
 
+def test_mertens_refuses_nan():
+    with pytest.raises(ValueError, match="need y >= 3"):
+        mertens_ratio(math.nan)
+
+
 def test_mertens_product_monotone():
     products = [mertens_ratio(float(y))[0] for y in (3, 10, 100, 1000, 10_000)]
     assert all(b >= a for a, b in zip(products, products[1:]))
@@ -168,10 +200,14 @@ def test_omega_config():
     assert primorial(default_cutoff(100.0)).value == 6  # primes below log(100) ~ 4.6
 
 
-def test_phi_int_consistency():
-    assert phi_of_int(6) == 2
-    assert phi_of_int(1) == 1
-    assert phi_of_int(30030) == 5760
+def test_phi_int_consistency(sieve_10k):
+    # phi(q) is the number of units mod q, which the chain reports
+    for q in range(1, 200):
+        brute = sum(1 for a in range(1, q + 1) if math.gcd(a, q) == 1)
+        assert len(unit_sumsets(q, 1)[0]) == brute
+        assert progression_bound_check(sieve_10k, 50.0, q).phi_q == brute
+    for y in (2, 3, 11, 17):
+        assert len(unit_sumsets(primorial(y).value, 1)[0]) == primorial(y).phi
 
 
 def _sumsets_by_set_sums(q, k):
