@@ -264,12 +264,12 @@ def test_omega_scan_fallback_is_reported(tmp_path, capsys):
     (("singular-series", "--k", "1", "--n", "30"), "need k >= 2"),
     (("singular-series", "--k", "2", "--n", "0"), "need n >= 1"),
     (("singular-series", "--k", "2", "--n", "30", "--cutoff", "1"), "need prime cutoff >= 2"),
-    (("singular-series", "--k", "2", "--n", "30", "--cutoff", "nan"), "need prime cutoff >= 2"),
-    (("singular-series", "--k", "2", "--n", "30", "--cutoff", "inf"), "need prime cutoff >= 2"),
-    (("residual", "--k", "2", "--limit", "64", "--grid", "8:64:nan"), "ratio must exceed 1"),
     (("identities", "--kmax", "0"), "need kmax >= 2"),
     (("residual", "--k", "2", "--limit", "64", "--grid", "8:64:2", "--eps", "0.3"),
      "unrecognized arguments: --eps 0.3"),
+    (("singular-series", "--k", "2", "--n", "30", "--cutoff", "nan"), "need prime cutoff >= 2"),
+    (("singular-series", "--k", "2", "--n", "30", "--cutoff", "inf"), "need prime cutoff >= 2"),
+    (("residual", "--k", "2", "--limit", "64", "--grid", "8:64:nan"), "ratio must exceed 1"),
 ])
 def test_flag_errors_exit_1(capsys, argv, message):
     code, _, err = run_cli(capsys, *argv)
