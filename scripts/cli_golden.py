@@ -86,6 +86,9 @@ COMMANDS = [
     ("singular-series-k3-file",
      ["singular-series", "--k", "3", "--n", "1001", "--cutoff", "1000",
       "--output", "ss.csv"], ["ss.csv"]),
+    # a prime n above the cutoff: its factor enters the product after the sieved primes
+    ("singular-series-k3-prime-n",
+     ["singular-series", "--k", "3", "--n", "100000000000031"], []),
 ]
 
 

@@ -22,7 +22,7 @@ import numpy as np
 from .accum import check_bound, exact_sum, max_discrepancy
 from .goldbach import _convolution_powers, gk_fft, sk_prefix
 from .identities import solve_ak
-from .mangoldt import MangoldtTable, chebyshev_psi
+from .mangoldt import MAX_TABLE_LEN, MangoldtTable, chebyshev_psi
 
 # Below this distance from z = 1 the closed form of the kernel cancels
 # catastrophically; switch to the explicit geometric sum.
@@ -50,6 +50,10 @@ class CircleGrid:
             raise ValueError(
                 f"need at least 4N = {4 * self.n} nodes to avoid aliasing, "
                 f"got {self.nodes}"
+            )
+        if self.nodes > MAX_TABLE_LEN:
+            raise ValueError(
+                f"circle grid of {self.nodes} nodes exceeds supported size {MAX_TABLE_LEN}"
             )
         object.__setattr__(self, "radius", 1.0 - 1.0 / self.n)
         thetas = np.arange(self.nodes) / self.nodes

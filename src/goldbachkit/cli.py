@@ -123,23 +123,19 @@ def _validate_k_limit(k: int, limit: int) -> None:
 
 def _cmd_gk(args) -> int:
     _validate_k_limit(args.k, args.limit)
-    methods = ("direct", "fft") if args.method == "both" else (args.method,)
+    both = args.method == "both"
+    methods = ("direct", "fft") if both else (args.method,)
     _, tables = _build_tables(args.limit, [(m, args.k, args.limit) for m in methods])
-    if args.method == "both":
+    for tab in tables:
+        path = args.output
+        if both:  # one file per method, or both tables on stdout
+            path = f"{path}.{tab.method}.csv" if path else None
+        with _open_output(path) as out:
+            goldbach.write_goldbach_csv(tab, out)
+    if both:
         direct, fft = tables
         scale = float(max(abs(direct.values).max(), 1.0))
-        gap = max_discrepancy(direct.values, fft.values, scale=scale)
-        if args.output:
-            for tab in tables:
-                with open(f"{args.output}.{tab.method}.csv", "w", encoding="ascii") as out:
-                    goldbach.write_goldbach_csv(tab, out)
-        else:
-            for tab in tables:
-                goldbach.write_goldbach_csv(tab, sys.stdout)
-        print(f"max_discrepancy,{_fmt(gap)}")
-    else:
-        with _open_output(args.output) as out:
-            goldbach.write_goldbach_csv(tables[0], out)
+        print(f"max_discrepancy,{_fmt(max_discrepancy(direct.values, fft.values, scale=scale))}")
     return 0
 
 
@@ -231,10 +227,13 @@ def _cmd_circle_check(args) -> int:
 
 
 def _primorial_exceeds(y: float, bound: int) -> bool:
-    """Whether the primes p < y multiply past ``bound``; stops as soon as they do."""
+    """Whether the primes p < y multiply past ``bound``; stops as soon as they do.
+
+    ``product`` holds every prime below p, so p is prime iff it is coprime to it.
+    """
     product, p = 1, 2
     while p < y and product <= bound:
-        if mangoldt.distinct_prime_factors(p) == [p]:
+        if math.gcd(p, product) == 1:
             product *= p
         p += 1
     return product > bound

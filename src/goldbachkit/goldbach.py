@@ -103,6 +103,8 @@ class SingularSeriesQuery:
             raise ValueError(f"need k >= 2, got {self.k}")
         if self.n < 1:
             raise ValueError(f"need n >= 1, got {self.n}")
+        if self.n >= MAX_TABLE_LEN**2:
+            raise ValueError(f"need n < {MAX_TABLE_LEN**2} to factor by the sieve, got {self.n}")
         if not 2 <= self.prime_cutoff < math.inf:
             raise ValueError(f"need prime cutoff >= 2 and finite, got {self.prime_cutoff}")
 
@@ -241,22 +243,11 @@ def singular_series(query: SingularSeriesQuery) -> tuple[float, float]:
     |true - truncated| <= |truncated| * expm1(of that).
     """
     k, n, cutoff = query.k, query.n, query.prime_cutoff
-    divisors = set(distinct_prime_factors(n))
-    factors: list[float] = []
-    for p in primes_up_to(int(math.floor(cutoff))):
-        p = int(p)
-        u = -1.0 / (p - 1)
-        if p in divisors:
-            factors.append(1.0 - u ** (k - 1))
-        else:
-            factors.append(1.0 - u**k)
-    for p in sorted(divisors):
-        if p > cutoff:
-            u = -1.0 / (p - 1)
-            factors.append(1.0 - u ** (k - 1))
+    primes = primes_up_to(int(math.floor(cutoff))).tolist()
     value = 1.0
-    for f in factors:
-        value *= f
+    for p in primes + [p for p in distinct_prime_factors(n) if p > cutoff]:
+        u = -1.0 / (p - 1)
+        value *= 1.0 - u ** (k - 1 if n % p == 0 else k)
     tail_log = 2.0 * (cutoff - 1.0) ** (1 - k) / (k - 1)
     return value, abs(value) * math.expm1(tail_log)
 

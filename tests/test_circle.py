@@ -20,6 +20,7 @@ from goldbachkit import (
     minor_arc_l2,
     s0_sum,
 )
+from goldbachkit import circle
 from goldbachkit.circle import _f_on_grid
 
 LOG2 = math.log(2)
@@ -358,3 +359,16 @@ def test_grid_validation():
         CircleGrid(n=100, nodes=100)
     grid = CircleGrid(n=100, nodes=400)
     assert np.allclose(np.abs(grid.z), grid.radius, atol=1e-15)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: CircleGrid(n=100, nodes=10**10),
+    lambda: arc_classify(2**25 + 1, 2, 0.5),  # 4N = 2^27 + 4 nodes
+], ids=["grid", "arc_classify"])
+def test_grid_size_refused_before_allocating(monkeypatch, build):
+    def refuse(*args, **kwargs):
+        raise MemoryError("allocated before checking the node count")
+
+    monkeypatch.setattr(circle.np, "arange", refuse)
+    with pytest.raises(ValueError, match="exceeds supported size"):
+        build()

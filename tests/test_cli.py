@@ -270,6 +270,8 @@ def test_omega_scan_fallback_is_reported(tmp_path, capsys):
     (("singular-series", "--k", "2", "--n", "30", "--cutoff", "nan"), "need prime cutoff >= 2"),
     (("singular-series", "--k", "2", "--n", "30", "--cutoff", "inf"), "need prime cutoff >= 2"),
     (("residual", "--k", "2", "--limit", "64", "--grid", "8:64:nan"), "ratio must exceed 1"),
+    (("singular-series", "--k", "2", "--n", "1152921504606846976"),
+     "need n < 18014398509481984"),
 ])
 def test_flag_errors_exit_1(capsys, argv, message):
     code, _, err = run_cli(capsys, *argv)

@@ -236,6 +236,12 @@ def test_singular_series_query_refuses_bad_cutoff(cutoff):
         SingularSeriesQuery(2, 30, cutoff)
 
 
+def test_singular_series_query_refuses_unfactorable_n():
+    SingularSeriesQuery(2, 2**54 - 1)
+    with pytest.raises(ValueError, match="need n < 18014398509481984"):
+        SingularSeriesQuery(2, 2**54)
+
+
 def test_singular_series_odd_vanishes():
     for n in (1, 3, 5, 99, 1001):
         value, tail = singular_series(SingularSeriesQuery(2, n, 1000.0))

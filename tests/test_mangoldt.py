@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from goldbachkit import (
     build_mangoldt,
@@ -228,5 +230,36 @@ def test_distinct_prime_factors_matches_brute():
         assert distinct_prime_factors(n) == brute, n
     assert distinct_prime_factors(30030) == [2, 3, 5, 7, 11, 13]
     assert distinct_prime_factors(2 * 999983) == [2, 999983]
+    # a prime: the cofactor left after the sieved primes up to 10^7 is n itself
+    assert distinct_prime_factors(10**14 + 31) == [10**14 + 31]
     with pytest.raises(ValueError):
         distinct_prime_factors(0)
+
+
+def _factors_by_integer_trial_division(n: int) -> list[int]:
+    """Oracle: divide by every integer p with p^2 <= what is left of n."""
+    out, m, p = [], n, 2
+    while p * p <= m:
+        if m % p == 0:
+            out.append(p)
+            while m % p == 0:
+                m //= p
+        p += 1
+    return out + [m] if m > 1 else out
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=1, max_value=10**10))
+@example(999983**2)
+def test_distinct_prime_factors_matches_trial_division(n):
+    assert distinct_prime_factors(n) == _factors_by_integer_trial_division(n)
+
+
+def test_distinct_prime_factors_refused_before_allocating(monkeypatch):
+    def refuse(shape, *args, **kwargs):
+        raise MemoryError(f"allocated {shape} before checking the sieve size")
+
+    monkeypatch.setattr(np, "ones", refuse)
+    # 2^54 would sieve up to its root 2^27, one entry past MAX_TABLE_LEN
+    with pytest.raises(ValueError, match="exceeds supported size"):
+        distinct_prime_factors(MAX_TABLE_LEN**2)
