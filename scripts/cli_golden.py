@@ -44,6 +44,8 @@ COMMANDS = [
     ("gk-k3-fft-file",
      ["gk", "--k", "3", "--limit", "2000", "--output", "g3.csv"], ["g3.csv"]),
     ("gk-k2-both-2048", ["gk", "--k", "2", "--limit", "2048", "--method", "both"], []),
+    # odd limit: the k = 2 route's odd half of Lambda has odd length 1025
+    ("gk-k2-both-2049", ["gk", "--k", "2", "--limit", "2049", "--method", "both"], []),
     ("gk-direct-cap", ["gk", "--k", "2", "--limit", "100000", "--method", "direct"], []),
     ("sk-k2-fft", ["sk", "--k", "2", "--limit", "2000"], []),
     ("sk-k3-direct", ["sk", "--k", "3", "--limit", "800", "--method", "direct"], []),

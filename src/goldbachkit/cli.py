@@ -41,6 +41,13 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _check_output_paths(args) -> None:
+    """An empty output path names no file: a flag error, before any work."""
+    for flag in ("output", "maxg_output", "arc_csv"):
+        if getattr(args, flag, None) == "":
+            raise CliError(f"--{flag.replace('_', '-')} needs a file name, got an empty string")
+
+
 def _open_output(path):
     if path is None or path == "-":
         return nullcontext(sys.stdout)
@@ -129,7 +136,7 @@ def _cmd_gk(args) -> int:
     for tab in tables:
         path = args.output
         if both:  # one file per method, or both tables on stdout
-            path = f"{path}.{tab.method}.csv" if path else None
+            path = f"{path}.{tab.method}.csv" if path is not None else None
         with _open_output(path) as out:
             goldbach.write_goldbach_csv(tab, out)
     if both:
@@ -389,6 +396,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        _check_output_paths(args)
         return args.func(args)
     except (CliError, zeros.ZeroFormatError) as exc:
         _log("error", args.command, str(exc))

@@ -37,10 +37,11 @@ def _five_smooth_ceil(n: int) -> int:
 
 
 def gk_fft_length(k: int, limit: int) -> int:
-    """Transform length gk_fft uses for G_k up to ``limit``.
+    """Admission bound for gk_fft: the smallest 5-smooth length >= k limit + 1.
 
-    Raises ValueError when it exceeds MAX_TABLE_LEN, so callers can refuse
-    a request before they sieve for it.
+    It is the length of the k >= 3 transform; the k = 2 route transforms
+    at about half of it.  Raises ValueError when it exceeds MAX_TABLE_LEN,
+    so callers can refuse a request before they sieve for it.
     """
     pad = _five_smooth_ceil(k * limit + 1)
     if pad > MAX_TABLE_LEN:
@@ -56,7 +57,9 @@ class GoldbachTable:
     """G_k(n) for 0 <= n <= limit; entries below n = 2k are exactly 0.
 
     Lambda(0) = Lambda(1) = 0, so every part of a weighted composition is
-    at least 2 and G_k is supported on [2k, kN].
+    at least 2 and G_k is supported on [2k, kN].  In an FFT table of G_2
+    the odd entries are direct sums of at most log2(N) terms, with no
+    transform round-off, and exactly 0.0 where G_2(n) = 0 (see gk_fft).
     """
 
     k: int
@@ -150,19 +153,85 @@ def gk_direct(table: MangoldtTable, k: int, limit: int) -> GoldbachTable:
     return GoldbachTable(k=k, limit=limit, values=out, method="direct")
 
 
-def gk_fft(table: MangoldtTable, k: int, limit: int) -> GoldbachTable:
-    """G_k via a real-input FFT power, zero-padded past any wraparound.
+def _self_convolution(x: np.ndarray, k: int) -> np.ndarray:
+    """The k-fold linear convolution of x, as one real FFT power.
 
-    The k-fold convolution of coefficients supported on [2, N] (Lambda(1)
-    = 0) is supported on [2k, kN]; padding to the smallest 5-smooth length
-    2^a 3^b 5^c >= kN + 1 (``gk_fft_length``) makes the cyclic convolution
-    agree with the linear one exactly.  The transform leaves round-off in
-    the structural zeros n < 2k, so those entries are set to exactly 0.
+    The transform length is the smallest 5-smooth 2^a 3^b 5^c >= k(len(x) - 1)
+    + 1, so the cyclic convolution has no wraparound.
+    """
+    pad = _five_smooth_ceil(k * (len(x) - 1) + 1)
+    return np.fft.irfft(np.fft.rfft(x, pad) ** k, pad)
+
+
+def _g2_from_odd_half(lam: np.ndarray) -> np.ndarray:
+    """G_2 on [0, N] from Lambda on [0, N], split as odd + T (see gk_fft)."""
+    limit = len(lam) - 1
+    odd = np.ascontiguousarray(lam[1::2])  # odd[a] = Lambda(2a + 1)
+    values = np.zeros(limit + 1)
+    values[2::2] = _self_convolution(odd, 2)[: limit // 2]  # n = 2c + 2
+    powers = [1 << i for i in range(1, limit.bit_length())]  # the 2^i <= N, i >= 1
+    shifted = np.zeros(len(odd))
+    for p in powers:  # odd n = 2c + 1: n - 2^i = 2(c - 2^(i-1)) + 1
+        shifted[p // 2 :] += odd[: -(p // 2)]
+    log2 = math.log(2)  # Lambda(2^i), as build_mangoldt writes it
+    values[1::2] = (2.0 * log2) * shifted
+    log2_squared = log2 * log2
+    for i, p in enumerate(powers):  # T*T: each n = 2^i + 2^j, i <= j, is written once
+        for q in powers[i:]:
+            if p + q <= limit:
+                values[p + q] += (1.0 if p == q else 2.0) * log2_squared
+    return values
+
+
+def gk_fft(table: MangoldtTable, k: int, limit: int) -> GoldbachTable:
+    """G_k via real-input FFTs, zero-padded past any wraparound.
+
+    U is the unit roundoff 2^-53 and eta = 8U the per-level FFT constant
+    of Higham, *Accuracy and Stability of Numerical Algorithms*, Thm 24.2
+    (stated for radix 2; Ramos, Math. Comp. 1971, treats general radices,
+    and numpy's 5-smooth lengths are taken at the same constant).  For x
+    of length L >= 1 padded to a length P past wraparound, the computed
+    k-fold self-convolution is, at every entry, within
+
+      E_k(x, P) = ((k + 1) log2(P) eta + 3kU) ||x||_1^(k-1) ||x||_2
+
+    of the exact one, to first order: Thm 24.2 bounds the forward error by
+    log2(P) eta sqrt(P) ||x||_2; the k-th power multiplies it by
+    k ||X||_inf^(k-1) <= k ||x||_1^(k-1), and its k - 1 complex products add
+    sqrt(5) U each; the inverse adds log2(P) eta ||x^(*k)||_2 <= log2(P) eta
+    ||x||_1^(k-1) ||x||_2, and U for its 1/P scaling.
+
+    k = 2.  Lambda on [0, N] vanishes at every even index but the powers
+    of two, so it splits as odd + T with odd[a] = Lambda(2a + 1) and T =
+    log 2 at each 2^i <= N, i >= 1, and G_2 = odd*odd + 2 odd*T + T*T:
+
+    - even n = 2c + 2: (odd*odd)(c), one transform at the 5-smooth length
+      P >= 2 len(odd) - 1, about N where the full route needs 2N + 1,
+      plus the one T*T term, log(2)^2 at n = 2^(i+1) or 2 log(2)^2 at
+      n = 2^i + 2^j, i < j.  Within E_2(odd, P) + 2U G_2(n).
+    - odd n: 2 log 2 sum_i Lambda(n - 2^i), at most log2(N) shifted adds
+      of odd and no transform.  Every term is >= 0, so the entry is within
+      log2(N) U G_2(n) of the exact sum, and it is exactly 0.0 where no
+      n - 2^i is a prime power.
+
+    k >= 3.  One power of the whole table, x = Lambda on [0, N], at P =
+    gk_fft_length(k, N) >= kN + 1; within E_k(x, P).  A half-grid route
+    does not pay here: G_k needs every power odd^m, m = 2..k, each
+    inverted at about kN/2 points, which is about k^2 N / 2 transform
+    points against this route's 2kN, plus k rounds of shifts; in a trial
+    it was no faster at k = 3, and it loses from k = 4.
+
+    Both routes leave FFT round-off in the structural zeros n < 2k, so
+    those entries are set to exactly 0.  gk_fft_length(k, N) is checked
+    first either way: it is the size the caller admits before sieving.
     """
     _check_build_args(table, k, limit)
-    pad = gk_fft_length(k, limit)
-    spectrum = np.fft.rfft(table.values[: limit + 1], pad)
-    values = np.fft.irfft(spectrum**k, pad)[: limit + 1].copy()
+    gk_fft_length(k, limit)
+    lam = table.values[: limit + 1]
+    if k == 2:
+        values = _g2_from_odd_half(lam)
+    else:
+        values = _self_convolution(lam, k)[: limit + 1].copy()
     values[: 2 * k] = 0.0
     return GoldbachTable(k=k, limit=limit, values=values, method="fft")
 

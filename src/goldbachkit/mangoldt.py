@@ -78,20 +78,25 @@ def primes_up_to(limit: int) -> np.ndarray:
 def build_mangoldt(limit: int) -> MangoldtTable:
     """Sieve Lambda(n) for n <= limit.
 
-    The primes come from primes_up_to; each prime p writes math.log(p) at
-    p, p^2, p^3, ... <= limit.
+    The primes come from primes_up_to; math.log(p) is written at every
+    prime p in one assignment, then at p^2, p^3, ... <= limit for the
+    p <= sqrt(limit).  math.log, not np.log: the two differ in the last
+    bit at some primes.
 
     Raises ValueError for limit < 2, and for a limit primes_up_to refuses.
     """
     if limit < 2:
         raise ValueError(f"sieve limit must be >= 2, got {limit}")
-    primes = primes_up_to(limit).tolist()
+    primes = primes_up_to(limit)
+    plist = primes.tolist()
     values = np.zeros(limit + 1)
-    for p in primes:
-        logp = math.log(p)
-        q = p
+    values[primes] = np.fromiter(map(math.log, plist), float, len(plist))
+    for p in plist:
+        if p * p > limit:
+            break
+        q = p * p
         while q <= limit:
-            values[q] = logp
+            values[q] = values[p]
             q *= p
     return MangoldtTable(limit=limit, values=values)
 

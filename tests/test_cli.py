@@ -325,3 +325,31 @@ def test_singular_series_command(capsys):
     assert header == "k,n,P,value,tail_bound"
     fields = row.split(",")
     assert float(fields[3]) == pytest.approx(1.3203, abs=2e-3)
+
+
+@pytest.mark.parametrize("argv", [
+    ("sieve", "--limit", "10", "--output", ""),
+    ("gk", "--k", "2", "--limit", "10", "--output", ""),
+    ("gk", "--k", "2", "--limit", "10", "--method", "both", "--output", ""),
+    ("sk", "--k", "2", "--limit", "10", "--output", ""),
+    ("residual", "--k", "2", "--limit", "64", "--grid", "8:64:2", "--output", ""),
+    ("circle-check", "--n", "16", "--output", ""),
+    ("circle-check", "--n", "16", "--arc-csv", ""),
+    ("omega-scan", "--x-grid", "64:64:2", "--output", ""),
+    ("omega-scan", "--x-grid", "64:64:2", "--maxg-output", ""),
+    ("singular-series", "--k", "2", "--n", "30", "--output", ""),
+])
+def test_empty_output_path_is_a_flag_error(monkeypatch, tmp_path, capsys, argv):
+    def refuse(*args, **kwargs):
+        raise MemoryError("sieved before checking the output path")
+
+    monkeypatch.setattr(mangoldt, "build_mangoldt", refuse)
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, *argv)
+    flag = argv[-2]
+    assert code == 1
+    assert out == ""
+    assert err.splitlines() == [
+        f"level=error op={argv[0]} msg={flag} needs a file name, got an empty string"
+    ]
+    assert list(tmp_path.iterdir()) == []

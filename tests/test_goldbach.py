@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from goldbachkit import (
     SingularSeriesQuery,
@@ -22,6 +24,8 @@ from goldbachkit.goldbach import _five_smooth_ceil, gk_fft_length
 
 LOG2 = math.log(2)
 LOG3 = math.log(3)
+U = 2.0**-53
+FFT_ETA = 8 * U  # gk_fft's per-level constant (Higham, Thm 24.2)
 
 
 def brute_gk(table, k, n):
@@ -113,6 +117,56 @@ def test_fft_length_is_smallest_five_smooth():
     assert gk_fft_length(2, 1 << 21) == 4_199_040  # 2^7 3^8 5, just over half of 2^23
     with pytest.raises(ValueError, match="exceeds supported size"):
         gk_fft_length(16, 1 << 23)
+
+
+# limits 2..4096, odd and even, with the powers of two and their neighbours drawn often
+K2_LIMITS = st.one_of(
+    st.integers(min_value=2, max_value=4096),
+    st.sampled_from([m for e in range(1, 13) for m in (2**e - 1, 2**e, 2**e + 1) if m >= 2]),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(K2_LIMITS)
+@example(2049)
+def test_fft_k2_within_derived_bound(sieve_10k, limit):
+    """gk_fft at k = 2 against gk_direct, entry by entry, within the bounds
+    the gk_fft docstring derives plus the direct route's own round-off."""
+    fft = gk_fft(sieve_10k, 2, limit).values
+    direct = gk_direct(sieve_10k, 2, limit).values
+    odd = sieve_10k.values[1 : limit + 1 : 2]
+    pad = _five_smooth_ceil(2 * len(odd) - 1)
+    transform = (3 * math.log2(pad) * FFT_ETA + 6 * U) * odd.sum() * math.sqrt(odd @ odd)
+    n = np.arange(limit + 1)
+    fft_bound = np.where(n % 2 == 0, transform + 2 * U * direct,
+                         math.log2(limit) * U * direct)
+    # np.convolve: at most n + 1 nonnegative products per entry, gamma_(n+1) G_2(n)
+    direct_bound = (n + 1) * U * direct
+    assert np.all(np.abs(fft - direct) <= fft_bound + direct_bound)
+    assert np.all(fft[:4] == 0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(K2_LIMITS)
+@example(4096)
+def test_fft_k2_odd_entries_are_short_sums(sieve_10k, limit):
+    """Odd n: G_2(n) = sum_i 2 Lambda(2^i) Lambda(n - 2^i), within log2(N) U G_2(n)
+    of an fsum of its terms (plus the reference's own 2U), and exactly 0.0
+    where every term is 0."""
+    lam = sieve_10k.values
+    fft = gk_fft(sieve_10k, 2, limit).values
+    powers = [1 << i for i in range(1, limit.bit_length())]
+    for n in range(1, limit + 1, 2):
+        terms = [2 * lam[p] * lam[n - p] for p in powers if p < n]
+        exact = math.fsum(terms)
+        if not any(terms):
+            assert fft[n] == 0.0, n
+        assert abs(fft[n] - exact) <= (math.log2(limit) + 2) * U * exact, n
+
+
+def test_fft_k2_odd_entry_without_representation(sieve_10k):
+    # 149 - 2^i = 147, 145, 141, 133, 117, 85, 21: no prime power, so G_2(149) = 0
+    assert gk_fft(sieve_10k, 2, 4096).values[149] == 0.0
 
 
 def test_fft_small_table_zero_entry(sieve_10k):

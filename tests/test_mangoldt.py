@@ -78,6 +78,25 @@ def test_total_mass_matches_prime_power_enumeration(sieve_10k):
     )
 
 
+def _per_prime_mangoldt(limit):
+    """Reference: each prime p writes math.log(p) at p, p^2, p^3, ... <= limit."""
+    values = np.zeros(limit + 1)
+    for p in primes_up_to(limit).tolist():
+        logp = math.log(p)
+        q = p
+        while q <= limit:
+            values[q] = logp
+            q *= p
+    return values
+
+
+# a prime power at the limit (2^16, 3^10, 251^2), a prime there (65537),
+# one short of a square (251^2 - 1), and the benchmark's 2^21
+@pytest.mark.parametrize("limit", [1 << 16, 3**10, 65537, 251**2 - 1, 251**2, 1 << 21])
+def test_sieve_bytes_match_per_prime_loop(limit):
+    assert build_mangoldt(limit).values.tobytes() == _per_prime_mangoldt(limit).tobytes()
+
+
 def test_build_rejects_tiny_limit():
     with pytest.raises(ValueError):
         build_mangoldt(1)
