@@ -49,6 +49,7 @@ COMMANDS = [
     ("gk-direct-cap", ["gk", "--k", "2", "--limit", "100000", "--method", "direct"], []),
     ("sk-k2-fft", ["sk", "--k", "2", "--limit", "2000"], []),
     ("sk-k3-direct", ["sk", "--k", "3", "--limit", "800", "--method", "direct"], []),
+    ("sk-k2-file", ["sk", "--k", "2", "--limit", "500", "--output", "sk.csv"], ["sk.csv"]),
     ("residual-k2", ["residual", "--k", "2", "--limit", "65536", "--grid", "1024:65536:2"], []),
     ("residual-k3-file",
      ["residual", "--k", "3", "--limit", "8192", "--grid", "64:8192:1.5",
@@ -68,6 +69,8 @@ COMMANDS = [
     ("omega-scan-k2",
      ["omega-scan", "--k", "2", "--x-grid", "64:1024:2", "--output", "chain.csv",
       "--maxg-output", "maxg.csv"], ["chain.csv", "maxg.csv"]),
+    # no output flag: the chain table, then the max-G table, both on stdout
+    ("omega-scan-k2-stdout", ["omega-scan", "--k", "2", "--x-grid", "64:256:2"], []),
     ("omega-scan-k3",
      ["omega-scan", "--k", "3", "--x-grid", "64:512:2", "--output", "chain.csv",
       "--maxg-output", "maxg.csv"], ["chain.csv", "maxg.csv"]),

@@ -5,8 +5,11 @@ produce byte-identical output.  Floats are printed with 17 significant
 digits (round-trip exact for doubles).  Structured log lines go to stderr
 as ``level=... op=... msg=...``.
 
-Exit codes: 0 success, 1 validation error (bad flags, missing files, grid
-out of range), 2 computation error.
+``-`` is stdout for every output flag; ``gk --method both`` prints both
+tables there.  An empty path is a flag error for every path flag.
+
+Exit codes: 0 success, 1 validation error (bad flags, a zero file that cannot
+be read or parsed, grid out of range), 2 computation error.
 """
 
 import argparse
@@ -41,9 +44,9 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _check_output_paths(args) -> None:
-    """An empty output path names no file: a flag error, before any work."""
-    for flag in ("output", "maxg_output", "arc_csv"):
+def _check_path_flags(args) -> None:
+    """An empty path names no file: a flag error, before any work."""
+    for flag in ("output", "maxg_output", "arc_csv", "zeros"):
         if getattr(args, flag, None) == "":
             raise CliError(f"--{flag.replace('_', '-')} needs a file name, got an empty string")
 
@@ -52,6 +55,13 @@ def _open_output(path):
     if path is None or path == "-":
         return nullcontext(sys.stdout)
     return open(path, "w", encoding="ascii")
+
+
+def _write_table(path, header: str, lines) -> None:
+    """Write ``header`` and the newline-terminated ``lines`` to ``path`` (stdout for None or -)."""
+    with _open_output(path) as out:
+        out.write(header + "\n")
+        out.writelines(lines)
 
 
 def _parse_grid(spec: str) -> list[int]:
@@ -77,27 +87,27 @@ def _parse_grid(spec: str) -> list[int]:
 
 
 def _resolve_zero_table(path_arg):
-    if path_arg:
-        path = path_arg
-    elif os.environ.get(ZEROS_ENV_VAR):
-        path = os.environ[ZEROS_ENV_VAR]
-    else:
+    path = path_arg if path_arg is not None else os.environ.get(ZEROS_ENV_VAR)
+    if not path:
         table = zeros.bundled_zeros()
         _log("info", "zeros", f"using bundled table ({len(table)} ordinates)")
         return table
-    if not os.path.exists(path):
-        raise CliError(f"zero file not found: {path}")
-    return zeros.load_zeros(path)
+    try:
+        return zeros.load_zeros(path)
+    except FileNotFoundError:
+        raise CliError(f"zero file not found: {path}") from None
+    except UnicodeDecodeError as exc:
+        raise CliError(f"zero file {path} is not ASCII: {exc}") from None
+    except (OSError, ValueError) as exc:  # a directory, no ordinates, ZeroFormatError
+        raise CliError(str(exc)) from None
 
 
 def _cmd_sieve(args) -> int:
     if args.limit < 2:
         raise CliError(f"need limit >= 2, got {args.limit}")
     table = mangoldt.build_mangoldt(args.limit)
-    with _open_output(args.output) as out:
-        out.write("n,lambda\n")
-        for n in range(1, args.limit + 1):
-            out.write(f"{n},{_fmt(table.values[n])}\n")
+    _write_table(args.output, "n,lambda",
+                 (f"{n},{_fmt(table.values[n])}\n" for n in range(1, args.limit + 1)))
     _log("info", "sieve", f"limit={args.limit} psi={_fmt(mangoldt.chebyshev_psi(table, args.limit))}")
     return 0
 
@@ -135,8 +145,8 @@ def _cmd_gk(args) -> int:
     _, tables = _build_tables(args.limit, [(m, args.k, args.limit) for m in methods])
     for tab in tables:
         path = args.output
-        if both:  # one file per method, or both tables on stdout
-            path = f"{path}.{tab.method}.csv" if path is not None else None
+        if both and path not in (None, "-"):  # one file per method, else both on stdout
+            path = f"{path}.{tab.method}.csv"
         with _open_output(path) as out:
             goldbach.write_goldbach_csv(tab, out)
     if both:
@@ -150,10 +160,8 @@ def _cmd_sk(args) -> int:
     _validate_k_limit(args.k, args.limit)
     _, (table,) = _build_tables(args.limit, [(args.method, args.k, args.limit)])
     prefix = goldbach.sk_prefix(table)
-    with _open_output(args.output) as out:
-        out.write("X,S_k\n")
-        for x in range(table.k, table.limit + 1):
-            out.write(f"{x},{_fmt(prefix.sums[x])}\n")
+    _write_table(args.output, "X,S_k",
+                 (f"{x},{_fmt(prefix.sums[x])}\n" for x in range(table.k, table.limit + 1)))
     return 0
 
 
@@ -223,27 +231,24 @@ def _cmd_circle_check(args) -> int:
     with _open_output(args.output) as out:
         json.dump(diagnostics, out, indent=2, sort_keys=True)
         out.write("\n")
-    if args.arc_csv:
-        with open(args.arc_csv, "w", encoding="ascii") as out:
-            out.write("theta,re,im,abs,arc_class\n")
-            for theta, re_v, im_v, abs_v, label in circle.arc_sweep(
-                sieve, n, args.k, args.delta
-            ):
-                out.write(f"{_fmt(theta)},{_fmt(re_v)},{_fmt(im_v)},{_fmt(abs_v)},{label}\n")
+    if args.arc_csv is not None:
+        _write_table(args.arc_csv, "theta,re,im,abs,arc_class",
+                     (f"{_fmt(theta)},{_fmt(re_v)},{_fmt(im_v)},{_fmt(abs_v)},{label}\n"
+                      for theta, re_v, im_v, abs_v, label
+                      in circle.arc_sweep(sieve, n, args.k, args.delta)))
     return 0
 
 
 def _primorial_exceeds(y: float, bound: int) -> bool:
-    """Whether the primes p < y multiply past ``bound``; stops as soon as they do.
+    """Whether the primes p < y, i.e. p <= ceil(y) - 1, multiply past ``bound``.
 
-    ``product`` holds every prime below p, so p is prime iff it is coprime to it.
+    Sieving stops at c = max(41, bound.bit_length()): theta(c) > c(1 - 1/log c)
+    > c log 2 for c >= 41 (Rosser and Schoenfeld 1962), so the primes <= c
+    already multiply past 2^c > bound.  y meets c before ceil, which raises on inf.
     """
-    product, p = 1, 2
-    while p < y and product <= bound:
-        if math.gcd(p, product) == 1:
-            product *= p
-        p += 1
-    return product > bound
+    cap = max(41, bound.bit_length())
+    top = cap if y > cap else math.ceil(y) - 1
+    return math.prod(mangoldt.primes_up_to(top).tolist()) > bound
 
 
 def _cmd_omega_scan(args) -> int:
@@ -264,8 +269,8 @@ def _cmd_omega_scan(args) -> int:
         2 * k * x_max, [("fft", level, 2 * level * x_max) for level in range(2, k + 1)]
     )
     gtables = {table.k: table for table in tables}
-    chain_rows = []
-    maxg_rows = []
+    chain_lines = []
+    maxg_lines = []
     for x in grid:
         y = args.y if args.y is not None else omega.default_cutoff(x)
         q = mangoldt.primorial(y)
@@ -273,25 +278,20 @@ def _cmd_omega_scan(args) -> int:
             _log("warning", "omega-scan",
                  f"q={q.value} >= 2x={2 * x}: progression classes mostly empty")
         report = omega.chain_check(sieve, gtables, float(x), q.value)
+        head = f"{x},{report.q},{report.phi_q}"
         for level in report.levels:
-            chain_rows.append((x, report.q, report.phi_q, str(level.level),
-                               level.min_lhs, level.rhs, level.margin))
-        chain_rows.append((x, report.q, report.phi_q, "final",
-                           report.final_lhs, report.final_rhs,
-                           report.final_lhs - report.final_rhs))
+            chain_lines.append(f"{head},{level.level},{_fmt(level.min_lhs)},"
+                               f"{_fmt(level.rhs)},{_fmt(level.margin)}\n")
+        chain_lines.append(f"{head},final,{_fmt(report.final_lhs)},{_fmt(report.final_rhs)},"
+                           f"{_fmt(report.final_lhs - report.final_rhs)}\n")
         scan = omega.max_gk_scan(gtables[k], float(x), q)
         if scan.fallback_applied:
             _log("warning", "omega-scan",
                  f"maxG bound at x={x} uses the default q={scan.q}, not q={q.value}")
-        maxg_rows.append((x, scan.q, scan.max_g, scan.primorial_bound, scan.loglog_reference))
-    with _open_output(args.output) as out:
-        out.write("x,q,phi_q,level,min_lhs,rhs,margin\n")
-        for x, qv, phi_q, level, lhs, rhs, margin in chain_rows:
-            out.write(f"{x},{qv},{phi_q},{level},{_fmt(lhs)},{_fmt(rhs)},{_fmt(margin)}\n")
-    with _open_output(args.maxg_output) as out:
-        out.write("x,q,maxG,bound,loglog_ref\n")
-        for x, qv, max_g, bound, ref in maxg_rows:
-            out.write(f"{x},{qv},{_fmt(max_g)},{_fmt(bound)},{_fmt(ref)}\n")
+        maxg_lines.append(f"{x},{scan.q},{_fmt(scan.max_g)},{_fmt(scan.primorial_bound)},"
+                          f"{_fmt(scan.loglog_reference)}\n")
+    _write_table(args.output, "x,q,phi_q,level,min_lhs,rhs,margin", chain_lines)
+    _write_table(args.maxg_output, "x,q,maxG,bound,loglog_ref", maxg_lines)
     return 0
 
 
@@ -315,9 +315,8 @@ def _cmd_singular_series(args) -> int:
     except ValueError as exc:
         raise CliError(str(exc)) from None
     value, tail = goldbach.singular_series(query)
-    with _open_output(args.output) as out:
-        out.write("k,n,P,value,tail_bound\n")
-        out.write(f"{args.k},{args.n},{_fmt(args.cutoff)},{_fmt(value)},{_fmt(tail)}\n")
+    _write_table(args.output, "k,n,P,value,tail_bound",
+                 [f"{args.k},{args.n},{_fmt(args.cutoff)},{_fmt(value)},{_fmt(tail)}\n"])
     return 0
 
 
@@ -396,9 +395,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        _check_output_paths(args)
+        _check_path_flags(args)
         return args.func(args)
-    except (CliError, zeros.ZeroFormatError) as exc:
+    except CliError as exc:
         _log("error", args.command, str(exc))
         return 1
     except Exception as exc:  # computation failure

@@ -2,9 +2,11 @@ import json
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from goldbachkit import BoundExceeded, circle, mangoldt
-from goldbachkit.cli import main
+from goldbachkit.cli import _primorial_exceeds, main
 
 
 def run_cli(capsys, *argv):
@@ -272,6 +274,7 @@ def test_omega_scan_fallback_is_reported(tmp_path, capsys):
     (("residual", "--k", "2", "--limit", "64", "--grid", "8:64:nan"), "ratio must exceed 1"),
     (("singular-series", "--k", "2", "--n", "1152921504606846976"),
      "need n < 18014398509481984"),
+    (("omega-scan", "--x-grid", "64:64:2", "--y", "inf"), "exceeds 2k*x_max = 256"),
 ])
 def test_flag_errors_exit_1(capsys, argv, message):
     code, _, err = run_cli(capsys, *argv)
@@ -353,3 +356,87 @@ def test_empty_output_path_is_a_flag_error(monkeypatch, tmp_path, capsys, argv):
         f"level=error op={argv[0]} msg={flag} needs a file name, got an empty string"
     ]
     assert list(tmp_path.iterdir()) == []
+
+
+def test_arc_csv_dash_writes_stdout(monkeypatch, tmp_path, capsys):
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run_cli(capsys, "circle-check", "--n", "50", "--arc-csv", "-")
+    assert code == 0
+    lines = out.splitlines()
+    header = lines.index("theta,re,im,abs,arc_class")
+    assert json.loads("\n".join(lines[:header]))["n"] == 50
+    assert len(lines) > header + 1 and lines[header + 1].endswith("major")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_gk_both_dash_writes_stdout(monkeypatch, tmp_path, capsys):
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run_cli(capsys, "gk", "--k", "2", "--limit", "10",
+                           "--method", "both", "--output", "-")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "# k=2 N=10 method=direct"
+    assert "# k=2 N=10 method=fft" in lines
+    assert lines[-1].startswith("max_discrepancy,")
+    assert list(tmp_path.iterdir()) == []
+
+
+ZERO_TABLE_COMMANDS = [
+    ("zeros-info",),
+    ("residual", "--k", "2", "--limit", "64", "--grid", "8:64:2"),
+]
+
+
+@pytest.mark.parametrize("argv", ZERO_TABLE_COMMANDS)
+def test_empty_zeros_path_is_a_flag_error(monkeypatch, capsys, argv):
+    monkeypatch.setenv("GOLDBACHKIT_ZEROS", "/nonexistent")
+    code, out, err = run_cli(capsys, *argv, "--zeros", "")
+    assert code == 1
+    assert out == ""
+    assert err.splitlines() == [
+        f"level=error op={argv[0]} msg=--zeros needs a file name, got an empty string"
+    ]
+
+
+@pytest.mark.parametrize("argv", ZERO_TABLE_COMMANDS)
+@pytest.mark.parametrize("kind, message", [
+    ("empty", "no ordinates found in"),
+    ("directory", "Is a directory"),
+    ("non-ascii", "is not ASCII"),
+])
+def test_unreadable_zero_file_exits_1(tmp_path, capsys, argv, kind, message):
+    path = tmp_path / kind
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b"\xff\n" if kind == "non-ascii" else b"")
+    code, out, err = run_cli(capsys, *argv, "--zeros", str(path))
+    assert code == 1
+    assert out == ""
+    assert f"level=error op={argv[0]} msg=" in err
+    assert message in err
+
+
+def _primorial_exceeds_by_gcd(y, bound):
+    """The product of the primes below y against bound, finding primes by gcd."""
+    product, p = 1, 2
+    while p < y and product <= bound:
+        if math.gcd(p, product) == 1:
+            product *= p
+        p += 1
+    return product > bound
+
+
+# primes below 41 multiply to 7420738134810, below 42 to 304250263527210
+@settings(max_examples=500, deadline=None)
+@given(st.floats(min_value=2.0, max_value=500.0), st.integers(min_value=8, max_value=10**40))
+@example(41.0, 7420738134809)
+@example(41.0, 7420738134810)
+@example(42.0, 304250263527209)
+@example(42.0, 304250263527210)
+@example(1e12, 10**40)
+@example(1e12, 10**200)
+@example(math.inf, 8)
+@example(math.inf, 10**200)
+def test_primorial_exceeds_matches_gcd_loop(y, bound):
+    assert _primorial_exceeds(y, bound) == _primorial_exceeds_by_gcd(y, bound)
