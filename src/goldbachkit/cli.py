@@ -6,7 +6,9 @@ digits (round-trip exact for doubles).  Structured log lines go to stderr
 as ``level=... op=... msg=...``.
 
 ``-`` is stdout for every output flag; ``gk --method both`` prints both
-tables there.  An empty path is a flag error for every path flag.
+tables there.  An empty path is a flag error for every path flag, and so is
+an output path that is a directory or lies in a missing one, all refused
+before any work; so is an output file that still cannot be opened.
 
 Exit codes: 0 success, 1 validation error (bad flags, a zero file that cannot
 be read or parsed, grid out of range), 2 computation error.
@@ -45,16 +47,33 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _check_path_flags(args) -> None:
-    """An empty path names no file: a flag error, before any work."""
+    """Path flags that cannot name a usable file are flag errors, before any work.
+
+    An empty path names no file.  An output path may not be a directory
+    (``gk --method both`` takes it as a prefix, so only its directory is
+    checked there) and its directory must exist.
+    """
     for flag in ("output", "maxg_output", "arc_csv", "zeros"):
-        if getattr(args, flag, None) == "":
-            raise CliError(f"--{flag.replace('_', '-')} needs a file name, got an empty string")
+        path = getattr(args, flag, None)
+        name = f"--{flag.replace('_', '-')}"
+        if path == "":
+            raise CliError(f"{name} needs a file name, got an empty string")
+        if path in (None, "-") or flag == "zeros":
+            continue
+        if os.path.isdir(path) and getattr(args, "method", None) != "both":
+            raise CliError(f"{name} {path!r} is a directory")
+        folder = os.path.dirname(path)
+        if folder and not os.path.isdir(folder):
+            raise CliError(f"{name} {path!r}: no directory {folder!r}")
 
 
 def _open_output(path):
     if path is None or path == "-":
         return nullcontext(sys.stdout)
-    return open(path, "w", encoding="ascii")
+    try:
+        return open(path, "w", encoding="ascii")
+    except OSError as exc:
+        raise CliError(f"cannot write {path!r}: {exc.strerror}") from None
 
 
 def _write_table(path, header: str, lines) -> None:
@@ -65,6 +84,15 @@ def _write_table(path, header: str, lines) -> None:
 
 
 def _parse_grid(spec: str) -> list[int]:
+    """The distinct integers round(start ratio^i) <= stop, ascending.
+
+    The loop takes one step per power below stop + 1/2, about
+    s = ln((stop + 1/2) / start) / ln(ratio) of them, yet only the
+    stop - start + 1 integers of [start, stop] can be points.  A grid with
+    ceil(s) > stop - start + 1 must repeat points, and a ratio just above 1
+    makes s huge (2:100:1.0000000001 would take 4e10 steps); such a grid is
+    a flag error, refused before the loop.
+    """
     parts = spec.split(":")
     if len(parts) != 3:
         raise CliError(f"grid must be start:stop:ratio, got {spec!r}")
@@ -76,6 +104,10 @@ def _parse_grid(spec: str) -> list[int]:
         raise CliError(f"grid needs 1 <= start <= stop, got {spec!r}")
     if not ratio > 1.0:
         raise CliError(f"geometric grid ratio must exceed 1, got {ratio}")
+    steps = math.ceil(math.log((stop + 0.5) / start) / math.log(ratio))
+    if steps > stop - start + 1:
+        raise CliError(f"grid {spec!r} takes {steps} steps, but [{start}, {stop}] holds only "
+                       f"{stop - start + 1} integers; raise the ratio")
     values: list[int] = []
     current = float(start)
     while current <= stop + 0.5:

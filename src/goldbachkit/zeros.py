@@ -34,10 +34,10 @@ RESIDUAL_EPS = 0.05
 
 
 class ZeroFormatError(ValueError):
-    """Malformed zero file; carries the 1-based offending line number."""
+    """Malformed zero file; names the file and carries the 1-based offending line."""
 
-    def __init__(self, message: str, line: int):
-        super().__init__(f"line {line}: {message}")
+    def __init__(self, message: str, line: int, source: str):
+        super().__init__(f"{source}: line {line}: {message}")
         self.line = line
 
 
@@ -73,13 +73,14 @@ def _parse_zero_lines(lines, source: str) -> ZeroTable:
         try:
             gamma = float(text)
         except ValueError:
-            raise ZeroFormatError(f"not a decimal ordinate: {text!r}", lineno) from None
+            raise ZeroFormatError(f"not a decimal ordinate: {text!r}", lineno, source) from None
         if not math.isfinite(gamma) or gamma <= 0:
-            raise ZeroFormatError(f"ordinate must be positive, got {text}", lineno)
+            raise ZeroFormatError(f"ordinate must be positive, got {text}", lineno, source)
         if previous is not None and gamma <= previous:
             raise ZeroFormatError(
                 f"ordinates must be strictly increasing ({gamma} after {previous})",
                 lineno,
+                source,
             )
         values.append(gamma)
         previous = gamma

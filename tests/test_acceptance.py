@@ -87,16 +87,13 @@ def test_criterion_3_cauchy_recovery(sieve_10k):
 
     # node doubling: the integrand's exponents lie in (-N, 2N), so the
     # trapezoid rule is exact once M >= 4N and doubling the nodes cannot
-    # shrink the error further.  What remains is rounding.  F contributes
-    # almost none of it: one inverse FFT of Lambda(n) R^n gives F to about
-    # U log2(M) of F(R), a few ulp (6e-16 measured at N = 500).  The kernel
-    # K = z^(-N-1) (1 - z^N) / (1 - z) dominates: its phases 2 pi (N+1) theta
-    # and 2 pi N theta are rounded to about N ulp of angle at each node, so
-    # each sample of F K z carries a relative error of order N eps.  The
-    # node mean of |F K z| is about 1.3 psi(N), and the per-node errors have
-    # both signs and cancel in part, so the error stays at that scale: the
-    # errors at 8N, 16N and 32N must stay within 2N eps (measured 3e-15 to
-    # 2e-14 against 2.2e-13).  An aliased or otherwise wrong quadrature
+    # shrink the error further.  What remains is rounding.  F and K z each
+    # come from one inverse FFT of their coefficients (Lambda(n) R^n and
+    # R^(-m)), with no rounded phases, so the rounding is the two FFTs' and
+    # the node mean's: cauchy_psi_recovery's docstring bounds it by 7e-14
+    # to 8e-14 relative at N = 500, and it measures a few ulp.  2N eps
+    # (2.2e-13) is looser than that bound and stays the tolerance for the
+    # errors at 8N, 16N and 32N.  An aliased or otherwise wrong quadrature
     # lands far above it.
     n = 500
     rounding_bound = 2 * n * sys.float_info.epsilon

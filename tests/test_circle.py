@@ -3,11 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from goldbachkit import (
     CircleGrid,
     arc_classify,
     arc_sweep,
+    build_mangoldt,
     cauchy_psi_recovery,
     chebyshev_psi,
     dirichlet_I,
@@ -18,10 +21,11 @@ from goldbachkit import (
     kernel_K,
     lemma1_check,
     minor_arc_l2,
+    primes_up_to,
     s0_sum,
 )
 from goldbachkit import circle
-from goldbachkit.circle import _f_on_grid
+from goldbachkit.circle import _f_on_grid, _kernel_on_grid
 
 LOG2 = math.log(2)
 LOG3 = math.log(3)
@@ -197,6 +201,24 @@ def test_f_on_grid_refuses_aliasing(sieve_10k):
         _f_on_grid(sieve_10k, grid, 400)
 
 
+def test_kernel_on_grid_matches_kernel_K():
+    # (N, M): M = 4N, M = 8N, a prime M (numpy's Bluestein path); nodes 0,
+    # 1 and M - 1 are the ones next to z = 1, where K's closed form cancels
+    rng = np.random.default_rng(34)
+    eps = np.finfo(float).eps
+    for n, nodes in [(100, 400), (100, 800), (1000, 4001)]:
+        grid = CircleGrid(n=n, nodes=nodes)
+        values = _kernel_on_grid(grid)
+        # |K(z) z| <= sum_m R^(-m), its value at z = R; kernel_K evaluates at
+        # the rounded node z, whose phase is off by a few ulp, and z^(-N-1)
+        # multiplies that by N + 1
+        scale = float(np.sum(np.power(grid.radius, -np.arange(1, n + 1.0))))
+        tol = 8 * n * eps * scale
+        for j in [0, 1, nodes - 1, *rng.integers(2, nodes - 1, 10).tolist()]:
+            z = complex(grid.z[j])
+            assert abs(values[j] - kernel_K(z, n) * z) <= tol, (n, nodes, j)
+
+
 def test_f_partial_values(sieve_10k):
     assert f_partial(sieve_10k, 0.0, 10).value == 0.0
     expected = (
@@ -261,6 +283,35 @@ def test_cauchy_recovery_degenerate(sieve_10k):
 def test_cauchy_recovery_medium(sieve_10k):
     quad, coeff = cauchy_psi_recovery(sieve_10k, 500, 4096)
     assert abs(quad - coeff) / coeff < 1e-6
+
+
+def _cauchy_rounding_bound(table, n, nodes):
+    """cauchy_psi_recovery's stated rounding bound on |quadrature - psi(N)|:
+    (2 log2(M) eta + (ceil(log2 M) + 18) U) ||a||_2 ||c||_2 + 5U psi(N),
+    eta = 8U, a_n = Lambda(n) R^n (n <= 2N), c_m = R^(-m) (m <= N)."""
+    u = 2.0**-53
+    r = 1.0 - 1.0 / n
+    a = table.values[: 2 * n + 1] * np.power(r, np.arange(2 * n + 1))
+    c = np.power(r, -np.arange(1, n + 1.0))
+    log_m = math.log2(nodes)
+    per_norm = 2 * log_m * 8 * u + (math.ceil(log_m) + 18) * u
+    return per_norm * float(np.linalg.norm(a) * np.linalg.norm(c)) \
+        + 5 * u * chebyshev_psi(table, float(n))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=2, max_value=20000), st.sampled_from(["4N", "8N", "prime"]))
+@example(6000, "8N")  # the circle workload's (N, M)
+@example(2, "prime")
+def test_cauchy_quadrature_within_rounding_bound(n, nodes_rule):
+    table = build_mangoldt(2 * n)
+    if nodes_rule == "prime":  # a prime lies in [4N, 8N) (Bertrand)
+        primes = primes_up_to(8 * n)
+        nodes = int(primes[primes >= 4 * n][0])
+    else:
+        nodes = int(nodes_rule[0]) * n
+    quad, coeff = cauchy_psi_recovery(table, n, nodes)
+    assert abs(quad - coeff) <= _cauchy_rounding_bound(table, n, nodes), (n, nodes)
 
 
 def test_cauchy_refuses_aliasing(sieve_10k):

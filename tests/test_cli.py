@@ -1,12 +1,13 @@
 import json
 import math
+import time
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from goldbachkit import BoundExceeded, circle, mangoldt
-from goldbachkit.cli import _primorial_exceeds, main
+from goldbachkit.cli import CliError, _parse_grid, _primorial_exceeds, main
 
 
 def run_cli(capsys, *argv):
@@ -191,6 +192,48 @@ def test_bad_grid_spec(capsys):
     assert code == 1
 
 
+def test_grid_ratio_near_one_refused_at_once(capsys):
+    started = time.perf_counter()
+    code, out, err = run_cli(capsys, "residual", "--k", "2", "--limit", "100",
+                             "--grid", "2:100:1.0000000001")
+    assert time.perf_counter() - started < 1.0
+    assert code == 1
+    assert out == ""
+    assert "holds only 99 integers; raise the ratio" in err
+
+
+def test_grid_points_kept():
+    assert _parse_grid("64:8192:1.5") == [64, 96, 144, 216, 324, 486, 729, 1094, 1640,
+                                          2460, 3691, 5536]
+    assert _parse_grid("1:4:2") == [1, 2, 4]
+    assert _parse_grid("64:64:2") == [64]
+    with pytest.raises(CliError, match="takes 4 steps"):  # 1.5 and 2.25 both round to 2
+        _parse_grid("1:3:1.5")
+
+
+def _grid_steps(start, stop, ratio):
+    """round(current) at every step of _parse_grid's loop, repeats kept."""
+    points, current = [], float(start)
+    while current <= stop + 0.5:
+        points.append(int(round(current)))
+        current *= ratio
+    return points
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=1, max_value=1000), st.integers(min_value=0, max_value=2000),
+       st.floats(min_value=1.0001, max_value=3.0))
+def test_grid_refused_only_when_points_repeat(start, width, ratio):
+    spec = f"{start}:{start + width}:{ratio!r}"
+    steps = _grid_steps(start, start + width, ratio)
+    try:
+        points = _parse_grid(spec)
+    except CliError:
+        assert len(set(steps)) < len(steps), spec
+    else:
+        assert points == sorted({p for p in steps if p <= start + width}), spec
+
+
 def test_zeros_info_bundled(capsys):
     code, out, _ = run_cli(capsys, "zeros-info")
     assert code == 0
@@ -358,6 +401,59 @@ def test_empty_output_path_is_a_flag_error(monkeypatch, tmp_path, capsys, argv):
     assert list(tmp_path.iterdir()) == []
 
 
+OUTPUT_FLAG_COMMANDS = [
+    ("sieve", "--limit", "10", "--output"),
+    ("gk", "--k", "2", "--limit", "10", "--output"),
+    ("sk", "--k", "2", "--limit", "10", "--output"),
+    ("residual", "--k", "2", "--limit", "64", "--grid", "8:64:2", "--output"),
+    ("circle-check", "--n", "16", "--output"),
+    ("circle-check", "--n", "16", "--arc-csv"),
+    ("omega-scan", "--x-grid", "64:128:2", "--output"),
+    ("omega-scan", "--x-grid", "64:128:2", "--maxg-output"),
+    ("singular-series", "--k", "2", "--n", "30", "--output"),
+]
+
+UNUSABLE_OUTPUT_PATHS = {
+    "directory": ("out", "'out' is a directory"),
+    "missing-directory": ("nodir/x.csv", "'nodir/x.csv': no directory 'nodir'"),
+}
+
+
+@pytest.mark.parametrize("argv", OUTPUT_FLAG_COMMANDS)
+@pytest.mark.parametrize("kind", UNUSABLE_OUTPUT_PATHS)
+def test_unusable_output_path_is_a_flag_error(monkeypatch, tmp_path, capsys, argv, kind):
+    def refuse(*args, **kwargs):
+        raise MemoryError("sieved before checking the output path")
+
+    monkeypatch.setattr(mangoldt, "build_mangoldt", refuse)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "out").mkdir()
+    path, message = UNUSABLE_OUTPUT_PATHS[kind]
+    code, out, err = run_cli(capsys, *argv, path)
+    assert code == 1
+    assert out == ""
+    assert err.splitlines() == [f"level=error op={argv[0]} msg={argv[-1]} {message}"]
+    assert [p.name for p in tmp_path.iterdir()] == ["out"]
+    assert list((tmp_path / "out").iterdir()) == []
+
+
+def test_gk_both_prefix_may_name_a_directory(monkeypatch, tmp_path, capsys):
+    # --method both writes <prefix>.direct.csv and <prefix>.fft.csv
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "gk").mkdir()
+    code, _, _ = run_cli(capsys, "gk", "--k", "2", "--limit", "10", "--method", "both",
+                         "--output", "gk")
+    assert code == 0
+    assert (tmp_path / "gk.direct.csv").is_file() and (tmp_path / "gk.fft.csv").is_file()
+    # a file that still cannot be opened is a flag error that names it
+    (tmp_path / "gk.direct.csv").unlink()
+    (tmp_path / "gk.direct.csv").mkdir()
+    code, _, err = run_cli(capsys, "gk", "--k", "2", "--limit", "10", "--method", "both",
+                           "--output", "gk")
+    assert code == 1
+    assert "msg=cannot write 'gk.direct.csv': Is a directory" in err
+
+
 def test_arc_csv_dash_writes_stdout(monkeypatch, tmp_path, capsys):
     monkeypatch.chdir(tmp_path)
     code, out, _ = run_cli(capsys, "circle-check", "--n", "50", "--arc-csv", "-")
@@ -403,13 +499,14 @@ def test_empty_zeros_path_is_a_flag_error(monkeypatch, capsys, argv):
     ("empty", "no ordinates found in"),
     ("directory", "Is a directory"),
     ("non-ascii", "is not ASCII"),
+    ("malformed", "/malformed: line 2: not a decimal ordinate: 'abc'"),
 ])
 def test_unreadable_zero_file_exits_1(tmp_path, capsys, argv, kind, message):
     path = tmp_path / kind
     if kind == "directory":
         path.mkdir()
     else:
-        path.write_bytes(b"\xff\n" if kind == "non-ascii" else b"")
+        path.write_bytes({"non-ascii": b"\xff\n", "malformed": b"14.1\nabc\n"}.get(kind, b""))
     code, out, err = run_cli(capsys, *argv, "--zeros", str(path))
     assert code == 1
     assert out == ""

@@ -46,6 +46,17 @@ def test_load_monotonicity_error_carries_line():
     assert exc.value.line == 2
 
 
+def test_format_error_names_the_file(tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_text("14.1\nabc\n")
+    with pytest.raises(ZeroFormatError) as exc:
+        load_zeros(path)
+    assert exc.value.line == 2
+    assert str(exc.value) == f"{path}: line 2: not a decimal ordinate: 'abc'"
+    with pytest.raises(ZeroFormatError, match=r"^<stream>: line 1: ordinate must be positive"):
+        load_zeros(io.StringIO("-3.0\n"))
+
+
 def test_load_rejects_nonpositive():
     with pytest.raises(ZeroFormatError):
         load_zeros(io.StringIO("-3.0\n"))
