@@ -49,6 +49,7 @@ COMMANDS = [
     ("gk-direct-cap", ["gk", "--k", "2", "--limit", "100000", "--method", "direct"], []),
     ("sk-k2-fft", ["sk", "--k", "2", "--limit", "2000"], []),
     ("sk-k3-direct", ["sk", "--k", "3", "--limit", "800", "--method", "direct"], []),
+    ("sk-k4-fft", ["sk", "--k", "4", "--limit", "1000"], []),
     ("sk-k2-file", ["sk", "--k", "2", "--limit", "500", "--output", "sk.csv"], ["sk.csv"]),
     ("residual-k2", ["residual", "--k", "2", "--limit", "65536", "--grid", "1024:65536:2"], []),
     ("residual-k3-file",

@@ -52,27 +52,34 @@ def running_prefix(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     cancellation a plain float64 cumsum would suffer at large magnitudes.
 
     ``hi`` is the sequential float64 cumsum and ``lo`` the cumsum of the
-    TwoSum errors of its steps (Neumaier 1974; Ogita, Rump and Oishi 2005),
-    so both are bit-identical to the scalar loop ``t = s + v``,
-    ``c += (s - t) + v`` if |s| >= |v| else ``(v - t) + s``, ``s = t``
-    started from s = c = 0.0.
+    rounding errors of its steps, each found by Knuth's branch-free TwoSum
+    (TAOCP vol. 2, 4.2.2; Ogita, Rump and Oishi 2005, Alg. 3.1): for the
+    step t = s + v, b = t - s is the part taken from v and the error is
+    (s - (t - b)) + (v - b).  Both are bit-identical to the scalar loop
+    ``t = s + v``, ``c += (s - t) + v`` if |s| >= |v| else ``(v - t) + s``,
+    ``s = t`` started from s = c = 0.0 (Neumaier 1974): without overflow
+    the rounding error of a float addition is a unique number, and both
+    forms compute it exactly.  They could differ only in the sign of a
+    zero error, which no sum shows: lo, like the loop's c, starts from
+    +0.0, and a float sum is -0.0 only when both terms are.  Beyond ``hi``
+    and ``lo`` one scratch array is alive, so the peak is three times the
+    input's bytes.
     """
     values = np.asarray(values, dtype=np.float64)
     # A float sum is -0.0 only when both terms are, so a cumsum holds -0.0
     # exactly over a leading run of -0.0 inputs; the loop starts from +0.0
     # and gives +0.0 there, which ``+= 0.0`` restores (it changes nothing
-    # else).  The same holds for lo.
+    # else).
     hi = np.cumsum(values)
     hi += 0.0
-    prev = np.empty_like(hi)
-    prev[:1] = 0.0
-    prev[1:] = hi[:-1]
-    prev_larger = np.abs(prev) >= np.abs(values)
-    err = np.where(prev_larger, prev, values)
-    err -= hi
-    err += np.where(prev_larger, values, prev)
-    lo = np.cumsum(err)
-    lo += 0.0
+    lo = np.empty_like(hi)
+    lo[:1] = 0.0  # the first step, 0.0 + values[0], is exact
+    b = np.subtract(hi[1:], hi[:-1])
+    np.subtract(hi[1:], b, out=lo[1:])
+    np.subtract(hi[:-1], lo[1:], out=lo[1:])
+    np.subtract(values[1:], b, out=b)
+    lo[1:] += b
+    np.cumsum(lo, out=lo)
     return hi, lo
 
 
@@ -115,6 +122,22 @@ def riesz_integral(coeffs: np.ndarray, j: int, x: float) -> float:
     summation over the prefix sums, not the per-n telescoped sum
     sum_n coeffs[n] (x-n)^{j+1} that weighted_power_sum forms, so the two
     agree only up to rounding, which is what psi_integral_check compares.
+
+    For coefficients >= 0, with p = j + 1, m = floor(x), U = 2^-53 and
+    D = weighted_power_sum(coeffs, x, p) / p!, the result R obeys, to
+    first order,
+
+      |R - D| <= ((3p + 8) U + 2 (m U)^2) D.
+
+    Count a power y**e as within eU (libm pow, or e - 1 products), every
+    other product, fsum and the division as U.  D is within (p + 3) U of
+    the exact integral I.  In R, the weights (d+1)^p - d^p are integer
+    sums, exact while (m - 1)^p <= 2^53; past that, and in the partial
+    cell always, _power_step is within (2p + 1) U: terms within (p + 2) U,
+    then p - 1 additions of terms >= 0.  hi + lo is within 2 (m U)^2 of
+    each prefix sum: lo is a float cumsum of at most m TwoSum errors, each
+    <= U hi.  The products by the weights, fsum and the division bring R
+    within ((2p + 4) U + 2 (m U)^2) I.
     """
     if x <= 1.0:
         return 0.0

@@ -83,7 +83,7 @@ def _write_table(path, header: str, lines) -> None:
         out.writelines(lines)
 
 
-def _parse_grid(spec: str) -> list[int]:
+def _parse_grid(spec: str, check=None) -> list[int]:
     """The distinct integers round(start ratio^i) <= stop, ascending.
 
     The loop takes one step per power below stop + 1/2, about
@@ -91,7 +91,10 @@ def _parse_grid(spec: str) -> list[int]:
     stop - start + 1 integers of [start, stop] can be points.  A grid with
     ceil(s) > stop - start + 1 must repeat points, and a ratio just above 1
     makes s huge (2:100:1.0000000001 would take 4e10 steps); such a grid is
-    a flag error, refused before the loop.
+    a flag error, refused before the loop.  So is any bound the caller
+    passes as ``check(start, stop)``: the first point is start and no
+    point exceeds stop, so the bounds on the points hold for the grid
+    before a point is built.
     """
     parts = spec.split(":")
     if len(parts) != 3:
@@ -108,6 +111,8 @@ def _parse_grid(spec: str) -> list[int]:
     if steps > stop - start + 1:
         raise CliError(f"grid {spec!r} takes {steps} steps, but [{start}, {stop}] holds only "
                        f"{stop - start + 1} integers; raise the ratio")
+    if check is not None:
+        check(start, stop)
     values: list[int] = []
     current = float(start)
     while current <= stop + 0.5:
@@ -199,11 +204,15 @@ def _cmd_sk(args) -> int:
 
 def _cmd_residual(args) -> int:
     _validate_k_limit(args.k, args.limit)
-    grid = _parse_grid(args.grid)
-    if grid[0] < args.k:
-        raise CliError(f"grid point {grid[0]} below k = {args.k}")
-    if grid[-1] > args.limit:
-        raise CliError(f"grid point {grid[-1]} exceeds sieve limit {args.limit}")
+
+    def check(start, stop):
+        if start < args.k:
+            raise CliError(f"grid point {start} below k = {args.k}")
+        if stop > args.limit:
+            raise CliError(f"grid stop {stop} exceeds sieve limit {args.limit}")
+        goldbach.gk_fft_length(args.k, args.limit)
+
+    grid = _parse_grid(args.grid, check)
     zero_table = _resolve_zero_table(args.zeros)
     _, (gtable,) = _build_tables(args.limit, [("fft", args.k, args.limit)])
     prefix = goldbach.sk_prefix(gtable)
@@ -284,14 +293,21 @@ def _primorial_exceeds(y: float, bound: int) -> bool:
 
 
 def _cmd_omega_scan(args) -> int:
-    grid = _parse_grid(args.x_grid)
-    if grid[0] < 2:
-        raise CliError(f"x-grid needs x >= 2, got {grid[0]}")
     k = args.k
     if k < 2:
         raise CliError(f"need k >= 2, got {k}")
     if args.y is not None and not args.y >= 2:
         raise CliError(f"need y >= 2, got {args.y}")
+
+    def check(start, stop):
+        if start < 2:
+            raise CliError(f"x-grid needs x >= 2, got {start}")
+        try:  # the largest of the G tables
+            goldbach.gk_fft_length(k, 2 * k * stop)
+        except ValueError as exc:
+            raise ValueError(f"x-grid stop {stop}: {exc}") from None
+
+    grid = _parse_grid(args.x_grid, check)
     x_max = grid[-1]
     # a q beyond the largest G table splits it into classes of at most one entry
     if args.y is not None and _primorial_exceeds(args.y, 2 * k * x_max):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -65,6 +66,19 @@ def test_running_prefix_leading_negative_zero():
         assert lo.tobytes() == ref_lo.tobytes()
 
 
+def test_running_prefix_peak_is_three_inputs():
+    # hi, lo and one scratch array: a rewrite that brings back a temporary fails here
+    values = np.random.default_rng(16).random(1 << 20)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        running_prefix(values)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * values.nbytes + 64 * 1024
+
+
 @pytest.mark.parametrize("j", [0, 1, 2, 3])
 @pytest.mark.parametrize("x", [1.5, 2.0, 7.0, 7.25, 100.0, 100.0 + 1e-9, 999.5, 1000.0,
                                1000.0 + 2**-30])
@@ -74,6 +88,18 @@ def test_riesz_integral_matches_direct_sum(sieve_10k, j, x):
     integral = riesz_integral(sieve_10k.values, j, x)
     direct = weighted_power_sum(sieve_10k.values, x, j + 1) / math.factorial(j + 1)
     assert integral == pytest.approx(direct, rel=1e-13, abs=1e-300)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.integers(min_value=1, max_value=10_000).map(float),
+                 st.floats(min_value=1.0, max_value=10_000.0)),
+       st.integers(min_value=0, max_value=3))
+def test_riesz_integral_within_derived_bound(sieve_10k, x, j):
+    # the bound of riesz_integral's docstring, for coefficients >= 0
+    p, m, unit = j + 1, math.floor(x), 2.0**-53
+    integral = riesz_integral(sieve_10k.values, j, x)
+    direct = weighted_power_sum(sieve_10k.values, x, p) / math.factorial(p)
+    assert abs(integral - direct) <= ((3 * p + 8) * unit + 2 * (m * unit) ** 2) * direct
 
 
 def test_riesz_integral_signed_coefficients():

@@ -186,6 +186,22 @@ def test_residual_computation_error(capsys):
     assert "exceeds supported size" in err
 
 
+@pytest.mark.parametrize("argv, code, message", [
+    (("residual", "--k", "2", "--limit", "100", "--grid", "2:1000000000000:1.00001"),
+     1, "grid stop 1000000000000 exceeds sieve limit 100"),
+    (("omega-scan", "--x-grid", "2:1000000000000:1.00001"),
+     2, "x-grid stop 1000000000000: FFT padding"),
+])
+def test_grid_stop_refused_before_points_built(capsys, argv, code, message):
+    # 2.7 million points lie below the stop: the bound on the stop refuses them unbuilt
+    started = time.perf_counter()
+    got, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - started < 1.0
+    assert got == code
+    assert out == ""
+    assert message in err
+
+
 def test_bad_grid_spec(capsys):
     code, _, err = run_cli(capsys, "residual", "--k", "2", "--limit", "1024",
                            "--grid", "10:5:2")
