@@ -61,6 +61,10 @@ COMMANDS = [
     ("circle-check-k3-file",
      ["circle-check", "--n", "300", "--k", "3", "--delta", "0.3", "--output", "circle.json"],
      ["circle.json"]),
+    # k = 3 moves the major-arc threshold, so the arc labels differ from k = 2
+    ("circle-check-k3-arc",
+     ["circle-check", "--n", "300", "--k", "3", "--delta", "0.3", "--arc-csv", "arc.csv"],
+     ["arc.csv"]),
     ("circle-check-nodes",
      ["circle-check", "--n", "500", "--nodes", "2000", "--arc-csv", "arc.csv"], ["arc.csv"]),
     # 4001 is prime: the transform length numpy cannot factor into small radices

@@ -37,13 +37,15 @@ MINOR_ARC_TAIL_BUDGET = 1e-5
 
 @dataclass(frozen=True)
 class CircleGrid:
-    """M equally spaced nodes z = R e(m/M) on the circle of radius 1 - 1/N."""
+    """M equally spaced nodes z = R e(m/M) on the circle of radius 1 - 1/N.
+
+    Only N and M are stored, so grids compare and hash by (n, nodes).  Each
+    read of ``thetas`` or ``z`` builds a fresh array of M values: read it
+    once and keep the array.
+    """
 
     n: int
     nodes: int
-    radius: float = field(init=False)
-    thetas: np.ndarray = field(init=False, repr=False)
-    z: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.n < 2:
@@ -57,12 +59,18 @@ class CircleGrid:
             raise ValueError(
                 f"circle grid of {self.nodes} nodes exceeds supported size {MAX_TABLE_LEN}"
             )
-        object.__setattr__(self, "radius", 1.0 - 1.0 / self.n)
-        thetas = np.arange(self.nodes) / self.nodes
-        object.__setattr__(self, "thetas", thetas)
-        object.__setattr__(self, "z", self.radius * np.exp(2j * np.pi * thetas))
-        self.thetas.setflags(write=False)
-        self.z.setflags(write=False)
+
+    @property
+    def radius(self) -> float:
+        return 1.0 - 1.0 / self.n
+
+    @property
+    def thetas(self) -> np.ndarray:
+        return np.arange(self.nodes) / self.nodes
+
+    @property
+    def z(self) -> np.ndarray:
+        return self.radius * np.exp(2j * np.pi * self.thetas)
 
 
 @dataclass(frozen=True)
@@ -248,6 +256,28 @@ def _kernel_on_grid(grid: CircleGrid) -> np.ndarray:
     DFT's term at index M - m, so the coefficients c_m = R^(-m) sit at
     indices M - N, ..., M - 1 of a zero array of length M (M >= 4N > N).
     kernel_K is the pointwise oracle, as f_partial is for _f_on_grid.
+
+    Rounding per node, to first order in U = 2^-53, counting each libm call
+    (pow, exp, cos, sin, atan2, hypot) as within one ulp, 2U, against the
+    oracle kernel_K(z) z at the rounded node z = grid.z[j], with
+    C_0 = sum c_m and C_1 = sum m c_m:
+      - the FFT: log2(M) eta sqrt(M) ||c||_2, eta = 8U as in
+        cauchy_psi_recovery (Higham's 2-norm bound, per node);
+      - the coefficient powers: 2U C_0;
+      - the rounded node: the phase 2 pi j/M is formed within 3U relative
+        (pi, j/M and their product), at most 6 pi U, and exp and the
+        product by R add 3U, so |z - R e(j/M)| <= nu R with
+        nu = (6 pi + 3) U; z^(-m) moves by at most m nu c_m, nu C_1 in all;
+      - the oracle's own error, ((6 pi + 4)(N + 1) + 20) U C_0, on its
+        closed form (its 1e-6 guard, which node 0 meets once N > 10^6,
+        is not counted here): CPython
+        takes z^e for |e| > 100 in polar form, within ((3 pi + 2)|e| + 5) U
+        (the phase e atan2(z) within 3 pi |e| U), and by repeated squaring
+        below that, within less; z^N's error reaches 1 - z^N scaled by
+        R^N / |1 - z^N| <= 1/(e - 1) < 1; the subtractions, the division
+        and two products (one by z) add under 20U.
+    In all, log2(M) eta sqrt(M) ||c||_2 + nu C_1
+    + ((6 pi + 4)(N + 1) + 22) U C_0.
     """
     n = grid.n
     coeffs = np.zeros(grid.nodes)
@@ -265,6 +295,19 @@ def _f_on_grid(table: MangoldtTable, grid: CircleGrid, terms: int) -> np.ndarray
     rounding is an FFT's, about U log2(M) times the 2-norm of a, which is
     at most F(R) = sum a_n: a few ulp of F(R), where a running product of
     powers drifts by about ``terms`` ulp.
+
+    Rounding per node, to first order and counted as in _kernel_on_grid,
+    against the oracle f_partial at the rounded node z = grid.z[j], with
+    F_0 = sum a_n and F_1 = sum n a_n:
+      - the FFT: log2(M) eta sqrt(M) ||a||_2, eta = 8U;
+      - the coefficient powers: each a_n within 3U (pow, then the product
+        by Lambda(n)), 3U F_0;
+      - the rounded node, |z - R e(j/M)| <= nu R with nu = (6 pi + 3) U:
+        z^n moves by at most n nu a_n, nu F_1;
+      - the oracle's own error, ((3 pi + 2) F_1 + 8 F_0) U: each term
+        Lambda(n) z^n within ((3 pi + 2) n + 7) U (polar power, see
+        _kernel_on_grid, and the product by Lambda(n)), then fsum, U F_0.
+    In all, log2(M) eta sqrt(M) ||a||_2 + ((9 pi + 5) F_1 + 11 F_0) U.
     """
     if terms >= grid.nodes:
         raise ValueError(f"{terms} terms alias on {grid.nodes} nodes; need terms < nodes")
@@ -404,9 +447,9 @@ def arc_sweep(table: MangoldtTable, n: int, k: int, delta: float):
     cls = arc_classify(n, k, delta)
     terms = min(2 * n, table.limit)
     f_values = _f_on_grid(table, cls.grid, terms)
-    labels = ("major" if major else "minor" for major in cls.is_major)
+    labels = ("major" if major else "minor" for major in cls.is_major.tolist())
     columns = (cls.grid.thetas, f_values.real, f_values.imag, _modulus(f_values))
-    return list(zip(*(map(float, column) for column in columns), labels))
+    return list(zip(*(column.tolist() for column in columns), labels))
 
 
 def minor_arc_l2(table: MangoldtTable, n: int) -> tuple[float, float]:

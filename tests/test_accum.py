@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -100,6 +101,21 @@ def test_riesz_integral_within_derived_bound(sieve_10k, x, j):
     integral = riesz_integral(sieve_10k.values, j, x)
     direct = weighted_power_sum(sieve_10k.values, x, p) / math.factorial(p)
     assert abs(integral - direct) <= ((3 * p + 8) * unit + 2 * (m * unit) ** 2) * direct
+
+
+@pytest.mark.parametrize("j", [0, 1, 2])
+@pytest.mark.parametrize("x", [100.0, 1000.0, 1000.5])
+def test_riesz_integral_keeps_prefix_low_parts(j, x):
+    # prefix sums 1e16 + k are not floats for odd k: hi drops them and only
+    # the lo terms carry them, so the sum without lo is off by 22U to 450U here
+    coeffs = np.ones(1002)
+    coeffs[0], coeffs[1] = 0.0, 1e16
+    p, m, unit = j + 1, math.floor(x), 2.0**-53
+    exact = sum(Fraction(coeffs[n]) * (Fraction(x) - n) ** p
+                for n in range(1, m + 1)) / math.factorial(p)
+    direct = weighted_power_sum(coeffs, x, p) / math.factorial(p)
+    bound = ((3 * p + 8) * unit + 2 * (m * unit) ** 2) * direct
+    assert abs(Fraction(riesz_integral(coeffs, j, x)) - exact) <= bound
 
 
 def test_riesz_integral_signed_coefficients():

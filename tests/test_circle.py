@@ -1,5 +1,7 @@
 import cmath
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,6 +31,9 @@ from goldbachkit.circle import _f_on_grid, _kernel_on_grid
 
 LOG2 = math.log(2)
 LOG3 = math.log(3)
+U = 2.0**-53
+# a rounded grid node z = grid.z[j] is within NU R of R e(j/M)
+NU = (6 * math.pi + 3) * U
 
 
 def test_s0_at_zero_is_real(sieve_10k):
@@ -219,6 +224,66 @@ def test_kernel_on_grid_matches_kernel_K():
             assert abs(values[j] - kernel_K(z, n) * z) <= tol, (n, nodes, j)
 
 
+def _fft_rounding(nodes, coeffs):
+    """Higham's 2-norm bound for one inverse FFT, per node: log2(M) eta
+    sqrt(M) ||coeffs||_2 with eta = 8U."""
+    return math.log2(nodes) * 8 * U * math.sqrt(nodes) * float(np.linalg.norm(coeffs))
+
+
+@st.composite
+def _grid_and_nodes(draw, max_n):
+    """A grid with M in {4N, 8N, a prime in [4N, 8N)}, and the node indices
+    to check: 0, 1 and M - 1 (the ones next to z = 1) and up to 10 more."""
+    n = draw(st.integers(min_value=2, max_value=max_n))
+    rule = draw(st.sampled_from(["4N", "8N", "prime"]))
+    if rule == "prime":  # a prime lies in [4N, 8N) (Bertrand)
+        primes = primes_up_to(8 * n - 1)
+        nodes = draw(st.sampled_from(primes[primes >= 4 * n].tolist()))
+    else:
+        nodes = int(rule[0]) * n
+    picks = draw(st.lists(st.integers(min_value=0, max_value=nodes - 1), max_size=10))
+    return CircleGrid(n=n, nodes=nodes), sorted({0, 1, nodes - 1, *picks})
+
+
+@settings(max_examples=40, deadline=None)
+@given(_grid_and_nodes(max_n=1250), st.sampled_from(["2N", "M - 1"]))
+@example((CircleGrid(n=1000, nodes=4001), [0, 1, 2000, 4000]), "2N")
+def test_f_on_grid_within_derived_bound(sieve_10k, drawn, terms_rule):
+    # _f_on_grid's per-node bound: log2(M) eta sqrt(M) ||a||_2
+    # + ((9 pi + 5) F_1 + 11 F_0) U, with a_n = Lambda(n) R^n
+    grid, nodes = drawn
+    terms = 2 * grid.n if terms_rule == "2N" else grid.nodes - 1
+    values = _f_on_grid(sieve_10k, grid, terms)
+    index = np.arange(terms + 1)
+    a = sieve_10k.values[: terms + 1] * np.power(grid.radius, index)
+    f_0, f_1 = float(np.sum(a)), float(np.sum(index * a))
+    bound = _fft_rounding(grid.nodes, a) + ((9 * math.pi + 5) * f_1 + 11 * f_0) * U
+    z = grid.z
+    for j in nodes:
+        oracle = f_partial(sieve_10k, complex(z[j]), terms).value
+        assert abs(values[j] - oracle) <= bound, (grid, terms, j)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_grid_and_nodes(max_n=20000))
+@example((CircleGrid(n=6000, nodes=48000), [0, 1, 24000, 47999]))  # the circle workload's
+def test_kernel_on_grid_within_derived_bound(drawn):
+    # _kernel_on_grid's per-node bound: log2(M) eta sqrt(M) ||c||_2 + nu C_1
+    # + ((6 pi + 4)(N + 1) + 22) U C_0, with c_m = R^(-m)
+    grid, nodes = drawn
+    n = grid.n
+    m = np.arange(1, n + 1)
+    c = np.power(grid.radius, -m.astype(float))
+    c_0, c_1 = float(np.sum(c)), float(np.sum(m * c))
+    bound = (_fft_rounding(grid.nodes, c) + NU * c_1
+             + ((6 * math.pi + 4) * (n + 1) + 22) * U * c_0)
+    values = _kernel_on_grid(grid)
+    z = grid.z
+    for j in nodes:
+        node = complex(z[j])
+        assert abs(values[j] - kernel_K(node, n) * node) <= bound, (grid, j)
+
+
 def test_f_partial_values(sieve_10k):
     assert f_partial(sieve_10k, 0.0, 10).value == 0.0
     expected = (
@@ -289,14 +354,13 @@ def _cauchy_rounding_bound(table, n, nodes):
     """cauchy_psi_recovery's stated rounding bound on |quadrature - psi(N)|:
     (2 log2(M) eta + (ceil(log2 M) + 18) U) ||a||_2 ||c||_2 + 5U psi(N),
     eta = 8U, a_n = Lambda(n) R^n (n <= 2N), c_m = R^(-m) (m <= N)."""
-    u = 2.0**-53
     r = 1.0 - 1.0 / n
     a = table.values[: 2 * n + 1] * np.power(r, np.arange(2 * n + 1))
     c = np.power(r, -np.arange(1, n + 1.0))
     log_m = math.log2(nodes)
-    per_norm = 2 * log_m * 8 * u + (math.ceil(log_m) + 18) * u
+    per_norm = 2 * log_m * 8 * U + (math.ceil(log_m) + 18) * U
     return per_norm * float(np.linalg.norm(a) * np.linalg.norm(c)) \
-        + 5 * u * chebyshev_psi(table, float(n))
+        + 5 * U * chebyshev_psi(table, float(n))
 
 
 @settings(max_examples=25, deadline=None)
@@ -410,6 +474,39 @@ def test_grid_validation():
         CircleGrid(n=100, nodes=100)
     grid = CircleGrid(n=100, nodes=400)
     assert np.allclose(np.abs(grid.z), grid.radius, atol=1e-15)
+
+
+def test_grid_is_a_value():
+    assert [f.name for f in dataclasses.fields(CircleGrid)] == ["n", "nodes"]
+    grid = CircleGrid(n=100, nodes=400)
+    assert grid == CircleGrid(n=100, nodes=400)
+    assert grid != CircleGrid(n=100, nodes=800)
+    grids = {grid, CircleGrid(n=100, nodes=400), CircleGrid(n=100, nodes=800)}
+    assert len(grids) == 2
+
+
+def test_grid_allocates_no_nodes():
+    # the nodes are built by the routes that read them, not by the grid
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        CircleGrid(n=6000, nodes=48000)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+
+
+@pytest.mark.parametrize("n,nodes", [(6000, 48000), (1000, 4001), (100, 400)])
+def test_grid_arrays_bit_identical(n, nodes):
+    # the expressions the grid has always used, so every route sees the same bits
+    radius = 1.0 - 1.0 / n
+    thetas = np.arange(nodes) / nodes
+    z = radius * np.exp(2j * np.pi * thetas)
+    grid = CircleGrid(n=n, nodes=nodes)
+    assert grid.radius == radius
+    assert grid.thetas.tobytes() == thetas.tobytes()
+    assert grid.z.tobytes() == z.tobytes()
 
 
 @pytest.mark.parametrize("build", [
