@@ -71,6 +71,9 @@ COMMANDS = [
     ("circle-check-prime-nodes",
      ["circle-check", "--n", "1000", "--nodes", "4001", "--output", "circle.json"],
      ["circle.json"]),
+    # the circle benchmark workload's size: N = 6000, M = 8N
+    ("circle-check-workload",
+     ["circle-check", "--n", "6000", "--nodes", "48000", "--arc-csv", "arc.csv"], ["arc.csv"]),
     ("omega-scan-k2",
      ["omega-scan", "--k", "2", "--x-grid", "64:1024:2", "--output", "chain.csv",
       "--maxg-output", "maxg.csv"], ["chain.csv", "maxg.csv"]),

@@ -24,7 +24,7 @@ import numpy as np
 from .accum import check_bound, exact_sum, max_discrepancy
 from .goldbach import _convolution_powers, gk_fft, sk_prefix
 from .identities import solve_ak
-from .mangoldt import MAX_TABLE_LEN, MangoldtTable, chebyshev_psi
+from .mangoldt import MAX_TABLE_LEN, ArrayResult, MangoldtTable, chebyshev_psi
 
 # Below this distance from z = 1 the closed form of the kernel cancels
 # catastrophically; switch to the explicit geometric sum.
@@ -73,8 +73,8 @@ class CircleGrid:
         return self.radius * np.exp(2j * np.pi * self.thetas)
 
 
-@dataclass(frozen=True)
-class ArcClassification:
+@dataclass(frozen=True, eq=False)
+class ArcClassification(ArrayResult):
     """Per-node major/minor flags: major iff |1 - z| < N^(delta/(k+1) - 1)."""
 
     grid: CircleGrid
@@ -84,9 +84,6 @@ class ArcClassification:
     is_major: np.ndarray = field(repr=False)
     major_fraction: float
     analytic_measure: float
-
-    def __post_init__(self):
-        self.is_major.setflags(write=False)
 
 
 def s0_sum(table: MangoldtTable, alpha: float, x: float) -> complex:
@@ -415,7 +412,7 @@ def arc_classify(n: int, k: int, delta: float) -> ArcClassification:
         raise ValueError(f"need k >= 2, got {k}")
     grid = CircleGrid(n=n, nodes=4 * n)
     threshold = float(n) ** (delta / (k + 1) - 1.0)
-    is_major = np.abs(1.0 - grid.z) < threshold
+    is_major = _modulus(1.0 - grid.z) < threshold
     r = grid.radius
     gap = 1.0 - r
     if threshold <= gap:

@@ -188,7 +188,7 @@ def _cmd_gk(args) -> int:
             goldbach.write_goldbach_csv(tab, out)
     if both:
         direct, fft = tables
-        scale = float(max(abs(direct.values).max(), 1.0))
+        scale = float(abs(direct.values).max())
         print(f"max_discrepancy,{_fmt(max_discrepancy(direct.values, fft.values, scale=scale))}")
     return 0
 
@@ -245,10 +245,7 @@ def _cmd_circle_check(args) -> int:
     nodes = args.nodes if args.nodes is not None else 8 * n
     if nodes < 4 * n:
         raise CliError(f"{nodes} nodes would alias; need at least 4N = {4 * n}")
-    if nodes > mangoldt.MAX_TABLE_LEN:
-        raise ValueError(
-            f"circle grid of {nodes} nodes exceeds supported size {mangoldt.MAX_TABLE_LEN}"
-        )
+    circle.CircleGrid(n=n, nodes=nodes)  # refuses too many nodes; allocates nothing
     sieve = mangoldt.build_mangoldt(8 * n)
     quad, coeff = circle.cauchy_psi_recovery(sieve, n, nodes)
     power_sum, reference = circle.minor_arc_l2(sieve, n)

@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .accum import running_prefix
-from .mangoldt import MAX_TABLE_LEN, MangoldtTable, distinct_prime_factors, primes_up_to
+from .mangoldt import (MAX_TABLE_LEN, ArrayResult, MangoldtTable, distinct_prime_factors,
+                       primes_up_to)
 
 # Direct convolutions are O(k N^2); gk_direct refuses longer tables.
 DIRECT_ORACLE_CAP = 8192
@@ -52,8 +53,8 @@ def gk_fft_length(k: int, limit: int) -> int:
 DEFAULT_PRIME_CUTOFF = 1e5
 
 
-@dataclass(frozen=True)
-class GoldbachTable:
+@dataclass(frozen=True, eq=False)
+class GoldbachTable(ArrayResult):
     """G_k(n) for 0 <= n <= limit; entries below n = 2k are exactly 0.
 
     Lambda(0) = Lambda(1) = 0, so every part of a weighted composition is
@@ -67,12 +68,9 @@ class GoldbachTable:
     values: np.ndarray = field(repr=False)
     method: str = "direct"
 
-    def __post_init__(self):
-        self.values.setflags(write=False)
 
-
-@dataclass(frozen=True)
-class PrefixSums:
+@dataclass(frozen=True, eq=False)
+class PrefixSums(ArrayResult):
     """S_k(X) = sum_{n <= X} G_k(n) as a compensated running sum.
 
     ``sums`` is the float64 view hi + lo; the hi/lo split is retained so

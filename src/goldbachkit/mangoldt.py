@@ -7,8 +7,10 @@ sums over one residue class, exact primorials, and the distinct prime
 factors of an integer.  Factoring divides by the same sieve's primes up
 to sqrt(n), so it is bounded by the sieve's cap: n < MAX_TABLE_LEN^2.
 
-Tables are immutable after construction (the value arrays are marked
-read-only), so concurrent readers are always safe.
+ArrayResult is the one home of the immutability rule: every result type
+that holds arrays (MangoldtTable here, GoldbachTable, PrefixSums,
+ZeroTable, ArcClassification) subclasses it, so its arrays are read-only
+once built and concurrent readers are always safe.
 """
 
 import math
@@ -23,8 +25,26 @@ from .accum import exact_sum, riesz_integral, weighted_power_sum
 MAX_TABLE_LEN = 1 << 27
 
 
-@dataclass(frozen=True)
-class MangoldtTable:
+@dataclass(frozen=True, eq=False)
+class ArrayResult:
+    """Base of the results that hold numpy arrays: every array is read-only.
+
+    __post_init__ marks each ndarray attribute read-only, so a built result
+    cannot be changed in place.  Subclasses are declared with
+    ``@dataclass(frozen=True, eq=False)``.  eq=False because an array has
+    no single truth value: a generated field-by-field == could only raise
+    ValueError, and its hash TypeError.  Such results compare and hash by
+    identity; results without arrays stay values.
+    """
+
+    def __post_init__(self):
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+
+
+@dataclass(frozen=True, eq=False)
+class MangoldtTable(ArrayResult):
     """Lambda(n) for 1 <= n <= limit, as float64 logs of primes.
 
     values[n] = log p when n = p^m for a prime p, else 0.  Index 0 is a
@@ -33,9 +53,6 @@ class MangoldtTable:
 
     limit: int
     values: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        self.values.setflags(write=False)
 
 
 @dataclass(frozen=True)

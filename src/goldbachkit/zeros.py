@@ -20,7 +20,7 @@ import numpy as np
 
 from .accum import check_bound, exact_sum
 from .goldbach import PrefixSums
-from .mangoldt import MangoldtTable, riesz_psi_j
+from .mangoldt import ArrayResult, MangoldtTable, riesz_psi_j
 
 # Logarithmic derivative of zeta at 0 and -1; the constant terms of the
 # explicit formula for psi_1.
@@ -41,15 +41,12 @@ class ZeroFormatError(ValueError):
         self.line = line
 
 
-@dataclass(frozen=True)
-class ZeroTable:
+@dataclass(frozen=True, eq=False)
+class ZeroTable(ArrayResult):
     """Strictly increasing positive ordinates, with a provenance note."""
 
     ordinates: np.ndarray = field(repr=False)
     source: str = "unspecified"
-
-    def __post_init__(self):
-        self.ordinates.setflags(write=False)
 
     def __len__(self) -> int:
         return len(self.ordinates)

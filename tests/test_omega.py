@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from goldbachkit import (
     chain_check,
@@ -106,6 +108,18 @@ def test_chain_populated_classes(sieve_10k, k, y, x):
         assert lvl.consistency_error <= 5 * U
         prev = cls
     assert report.final_lhs == prev[0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.sampled_from([2, 3]), x=st.floats(8.0, 1500.0),
+       y=st.sampled_from([3, 5, 7, 11, 13]))
+def test_chain_consistency_within_derived_bound(sieve_10k, k, x, y):
+    # the two groupings of mid agree to the 5u that chain_check derives
+    q = primorial(y).value
+    gtables = {level: gk_fft(sieve_10k, level, int(2 * level * x)) for level in range(2, k + 1)}
+    report = chain_check(sieve_10k, gtables, x, q)
+    for lvl in report.levels:
+        assert lvl.consistency_error <= 5 * U
 
 
 def test_chain_phi1(sieve_10k):
