@@ -12,6 +12,18 @@ before it and comparing after:
     ... change the code ...
     python3 scripts/cli_golden.py --compare before.txt
 
+When outputs are meant to move, the hashes only say which commands moved.
+``--save DIR`` writes every output itself under ``DIR/<command>/`` (files
+``exit``, ``stdout``, ``stderr`` and each side file by its name), and
+``--diff DIR`` reruns the set and reports, for each differing command and
+per CSV column or JSON field, the largest relative move and where it
+occurs, and the entries that became or stopped being exact zeros; text and
+exit-code differences are reported as such:
+
+    python3 scripts/cli_golden.py --save before/
+    ... change the code ...
+    python3 scripts/cli_golden.py --diff before/
+
 The package is imported from the ``src`` directory next to this script, so
 two checkouts can be compared without installing either.  The zero-table
 environment variable is ignored, so every run uses the bundled table.
@@ -21,6 +33,8 @@ import argparse
 import contextlib
 import hashlib
 import io
+import json
+import math
 import os
 import pathlib
 import sys
@@ -109,8 +123,12 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def run_command(argv: list[str], side_files: list[str]) -> list[tuple[str, str]]:
-    """Run one command; return (stream, hash) pairs, exit code first."""
+def run_command(argv: list[str], side_files: list[str]) -> dict[str, bytes | None]:
+    """Run one command; return its outputs by stream name, exit code first.
+
+    The streams are ``exit``, ``stdout``, ``stderr`` and then each side file,
+    None for a side file the command did not write.
+    """
     out, err = io.StringIO(), io.StringIO()
     previous = os.getcwd()
     with tempfile.TemporaryDirectory() as work:
@@ -118,23 +136,30 @@ def run_command(argv: list[str], side_files: list[str]) -> list[tuple[str, str]]
         try:
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = cli.main(list(argv))
-            rows = [("exit", str(code)),
-                    ("stdout", _sha(out.getvalue().encode())),
-                    ("stderr", _sha(err.getvalue().encode()))]
+            outputs = {"exit": str(code).encode(),
+                       "stdout": out.getvalue().encode(),
+                       "stderr": err.getvalue().encode()}
             for name in side_files:
                 path = pathlib.Path(work) / name
-                digest = _sha(path.read_bytes()) if path.exists() else "missing"
-                rows.append((name, digest))
+                outputs[name] = path.read_bytes() if path.exists() else None
         finally:
             os.chdir(previous)
-    return rows
+    return outputs
+
+
+def run_all() -> dict[str, dict[str, bytes | None]]:
+    os.environ.pop(cli.ZEROS_ENV_VAR, None)
+    return {name: run_command(argv, side_files) for name, argv, side_files in COMMANDS}
 
 
 def collect() -> list[str]:
-    os.environ.pop(cli.ZEROS_ENV_VAR, None)
     lines = []
-    for name, argv, side_files in COMMANDS:
-        for stream, digest in run_command(argv, side_files):
+    for name, outputs in run_all().items():
+        for stream, data in outputs.items():
+            if stream == "exit":
+                digest = data.decode()
+            else:
+                digest = "missing" if data is None else _sha(data)
             lines.append(f"{name} {stream} {digest}")
     return lines
 
@@ -170,11 +195,203 @@ def compare(lines: list[str], reference_path: str) -> int:
     return 1 if differing else 0
 
 
-def main() -> int:
+def save(runs: dict[str, dict[str, bytes | None]], directory: pathlib.Path) -> None:
+    """Write each command's outputs under ``directory/<command>/``."""
+    for name, outputs in runs.items():
+        folder = directory / name
+        folder.mkdir(parents=True)
+        for stream, data in outputs.items():
+            if data is not None:
+                (folder / stream).write_bytes(data)
+
+
+def load(directory: pathlib.Path) -> dict[str, dict[str, bytes]]:
+    """Read a directory written by save: outputs by command, then by stream."""
+    return {folder.name: {path.name: path.read_bytes() for path in sorted(folder.iterdir())}
+            for folder in sorted(directory.iterdir()) if folder.is_dir()}
+
+
+# at most this many rows or text differences are listed per column or stream
+_LISTED = 8
+
+
+def _listed(items: list) -> str:
+    shown = ", ".join(str(item) for item in items[:_LISTED])
+    return shown + (f" and {len(items) - _LISTED} more" if len(items) > _LISTED else "")
+
+
+def _at_lines(rows: list) -> str:
+    """Where zeros appeared or vanished: nothing for a JSON field, else its lines."""
+    if rows == [None]:
+        return ""
+    return f" at line {rows[0]}" if len(rows) == 1 else f" at lines {_listed(rows)}"
+
+
+def _number(text: str) -> float | None:
+    try:
+        value = float(text)
+    except ValueError:
+        return None
+    return value if math.isfinite(value) else None
+
+
+def _json_cells(value, path: str, cells: dict) -> None:
+    if isinstance(value, dict):
+        for key, item in value.items():
+            _json_cells(item, f"{path}.{key}" if path else str(key), cells)
+    elif isinstance(value, list):
+        for index, item in enumerate(value):
+            _json_cells(item, f"{path}[{index}]", cells)
+    else:
+        cells[path] = (f"field {path}", None, json.dumps(value))
+
+
+def _text_cells(text: str) -> dict:
+    """Cells of a line-oriented output, keyed by (line, field, token).
+
+    Lines split into fields at commas.  A line of two or more fields none
+    of which is a number is a header: the fields of later lines of the same
+    width are named by it.  Without one, the fields of a line whose first
+    field is text are named by that field (``count,100``).  A field holding
+    ``name=value`` tokens (log records) splits into its tokens, named by
+    their names.
+    """
+    cells = {}
+    header: list[str] = []
+    for row, line in enumerate(text.split("\n"), 1):
+        fields = line.split(",")
+        if len(fields) > 1 and all(_number(field) is None for field in fields):
+            header = fields
+        for column, field in enumerate(fields):
+            if len(fields) == len(header) > 1:
+                label = f"column {header[column]}"
+            elif column > 0 and _number(fields[0]) is None:
+                label = f"column {fields[0]}"
+            else:
+                label = f"column {column + 1}"
+            tokens = field.split(" ") if "=" in field else [field]
+            for index, token in enumerate(tokens):
+                name, equals, value = token.rpartition("=")
+                if equals:
+                    cells[(row, column, index)] = (f"column {name}", row, value)
+                else:
+                    cells[(row, column, index)] = (label, row, token)
+    return cells
+
+
+def _cells(data: bytes) -> dict:
+    """Cells of one output: key -> (column or field label, line or None, text)."""
+    text = data.decode("utf-8", errors="replace")
+    if text.lstrip().startswith(("{", "[")):
+        try:
+            parsed = json.loads(text)
+        except ValueError:
+            pass
+        else:
+            cells: dict = {}
+            _json_cells(parsed, "", cells)
+            return cells
+    return _text_cells(text)
+
+
+def stream_moves(stream: str, before: bytes | None, after: bytes | None) -> list[str]:
+    """How one output moved between a reference and a current run, one line each."""
+    if before == after:
+        return []
+    if before is None or after is None:
+        return [f"{stream}: {'missing in the reference' if before is None else 'missing now'}"]
+    if stream == "exit":
+        return [f"exit code {before.decode()} -> {after.decode()}"]
+    old, new = _cells(before), _cells(after)
+    report = []
+    if old.keys() != new.keys():
+        if any(isinstance(key, tuple) for key in (*old, *new)):
+            # line-oriented: once the layout shifts, later lines no longer pair up
+            lines = before.count(b"\n"), after.count(b"\n")
+            return [f"{stream}: layout differs ({lines[0]} -> {lines[1]} lines); "
+                    "values not compared"]
+        for key in sorted(old.keys() - new.keys()):
+            report.append(f"{stream} field {key}: missing now")
+        for key in sorted(new.keys() - old.keys()):
+            report.append(f"{stream} field {key}: missing in the reference")
+    columns: dict[str, dict[str, list]] = {}
+    texts = []
+    for key in (key for key in old if key in new):
+        label, row, was = old[key]
+        now = new[key][2]
+        if was == now:
+            continue
+        a, b = _number(was), _number(now)
+        at = f" at line {row}" if row else ""
+        if a is None or b is None or a == b:
+            texts.append(f"{label}{at}: {was!r} -> {now!r}")
+            continue
+        moves = columns.setdefault(label, {"moved": [], "became": [], "stopped": []})
+        if a == 0.0:
+            moves["stopped"].append(row)
+        else:
+            moves["moved"].append((abs(b - a) / abs(a), at, was, now))
+            if b == 0.0:
+                moves["became"].append(row)
+    for label, moves in columns.items():
+        if moves["moved"]:
+            rel, at, was, now = max(moves["moved"], key=lambda move: move[0])
+            report.append(f"{stream} {label}: largest relative move {rel:.3g}{at} "
+                          f"({was} -> {now}), {len(moves['moved'])} moved")
+        if moves["became"]:
+            report.append(f"{stream} {label}: became exact zero{_at_lines(moves['became'])}")
+        if moves["stopped"]:
+            report.append(f"{stream} {label}: stopped being exact zero"
+                          f"{_at_lines(moves['stopped'])}")
+    if texts:
+        report.append(f"{stream} text: {_listed(texts)}")
+    return report
+
+
+def diff(reference: dict, current: dict) -> int:
+    """Report each command as identical or by its moves; nonzero exit on any change."""
+    names = sorted(set(reference) | set(current))
+    differing = 0
+    for name in names:
+        if name not in reference or name not in current:
+            differing += 1
+            print(f"DIFFERS {name}: {'not run now' if name not in current else 'not in the reference'}")
+            continue
+        before, after = reference[name], current[name]
+        fixed = ["exit", "stdout", "stderr"]
+        streams = fixed + sorted((set(before) | set(after)) - set(fixed))
+        report = [line for stream in streams
+                  for line in stream_moves(stream, before.get(stream), after.get(stream))]
+        if not report:
+            print(f"identical {name}")
+            continue
+        differing += 1
+        print(f"DIFFERS {name}")
+        for line in report:
+            print(f"  {line}")
+    print(f"{len(names) - differing} identical, {differing} differ")
+    return 1 if differing else 0
+
+
+def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--compare", metavar="FILE", default=None,
-                        help="hash file from an earlier run to compare against")
-    args = parser.parse_args()
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument("--compare", metavar="FILE", default=None,
+                      help="hash file from an earlier run to compare against")
+    mode.add_argument("--save", metavar="DIR", type=pathlib.Path, default=None,
+                      help="write every output under DIR/<command>/")
+    mode.add_argument("--diff", metavar="DIR", type=pathlib.Path, default=None,
+                      help="report value moves against outputs saved by --save")
+    args = parser.parse_args(argv)
+    if args.save is not None:
+        if args.save.exists() and any(args.save.iterdir()):
+            parser.error(f"{args.save} is not empty")
+        save(run_all(), args.save)
+        return 0
+    if args.diff is not None:
+        if not args.diff.is_dir():
+            parser.error(f"{args.diff} is not a directory")
+        return diff(load(args.diff), run_all())
     lines = collect()
     if args.compare:
         return compare(lines, args.compare)

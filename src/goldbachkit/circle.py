@@ -12,6 +12,11 @@ f_partial (compensated) and kernel_K, and on all M nodes of a circle grid at
 once by _f_on_grid and _kernel_on_grid.  Both grid evaluators are one inverse
 FFT of a coefficient array of length M: Lambda(n) R^n at index n for F, and
 R^(-m) at index M - m for K(z) z = sum_{m <= N} z^(-m).
+
+The arc rows (theta, F and its class per node) are read from an
+ArcClassification by its rows method, so a caller that already holds the
+classification of the 4N grid does not build it again; arc_sweep is
+arc_classify followed by rows.
 """
 
 import cmath
@@ -85,6 +90,17 @@ class ArcClassification(ArrayResult):
     major_fraction: float
     analytic_measure: float
 
+    def rows(self, table: MangoldtTable) -> list[tuple]:
+        """Rows (theta, Re F, Im F, |F|, arc class) over the grid's 4N nodes.
+
+        F is truncated at min(2N, sieve limit), matching the contour-recovery
+        truncation, and evaluated on all nodes by _f_on_grid's inverse FFT.
+        """
+        f_values = _f_on_grid(table, self.grid, min(2 * self.grid.n, table.limit))
+        labels = ("major" if major else "minor" for major in self.is_major.tolist())
+        columns = (self.grid.thetas, f_values.real, f_values.imag, _modulus(f_values))
+        return list(zip(*(column.tolist() for column in columns), labels))
+
 
 def s0_sum(table: MangoldtTable, alpha: float, x: float) -> complex:
     """S_0(alpha, x) = sum_{n <= x} (Lambda(n) - 1) e(n alpha)."""
@@ -120,6 +136,17 @@ def dirichlet_I(x: float, alpha: float) -> complex:
 
 
 def _prefix_s0(table: MangoldtTable, alpha: float, up_to: int) -> np.ndarray:
+    """S_0(alpha, m) for m = 1..up_to, as one sequential complex cumsum.
+
+    Its terms are bit-identical to s0_sum's: (Lambda(n) - 1) times the same
+    np.exp phases (the zero imaginary part of the coefficient adds only
+    signed zeros).  So only the summation differs, and entry m - 1 is within
+        gamma_(m-1) sum_{n <= m} |Lambda(n) - 1| + U sum_{n <= m} |Lambda(n) - 1|
+    of s0_sum(table, alpha, m) in each of its real and imaginary parts,
+    gamma_j = jU/(1 - jU) and U = 2^-53: the first term is the cumsum's
+    error over m terms each at most |Lambda(n) - 1| in size, the second the
+    rounding of s0_sum's correctly rounded fsum.
+    """
     n = np.arange(1, up_to + 1, dtype=np.float64)
     coeff = (table.values[1 : up_to + 1] - 1.0).astype(complex)
     return np.cumsum(coeff * np.exp(2j * np.pi * alpha * n))
@@ -436,17 +463,8 @@ def arc_classify(n: int, k: int, delta: float) -> ArcClassification:
 
 
 def arc_sweep(table: MangoldtTable, n: int, k: int, delta: float):
-    """Rows (theta, Re F, Im F, |F|, arc class) over arc_classify's 4N nodes.
-
-    F is truncated at min(2N, sieve limit), matching the contour-recovery
-    truncation, and evaluated on all nodes by _f_on_grid's inverse FFT.
-    """
-    cls = arc_classify(n, k, delta)
-    terms = min(2 * n, table.limit)
-    f_values = _f_on_grid(table, cls.grid, terms)
-    labels = ("major" if major else "minor" for major in cls.is_major.tolist())
-    columns = (cls.grid.thetas, f_values.real, f_values.imag, _modulus(f_values))
-    return list(zip(*(column.tolist() for column in columns), labels))
+    """Rows (theta, Re F, Im F, |F|, arc class) over arc_classify's 4N nodes."""
+    return arc_classify(n, k, delta).rows(table)
 
 
 def minor_arc_l2(table: MangoldtTable, n: int) -> tuple[float, float]:

@@ -273,7 +273,7 @@ def _cmd_circle_check(args) -> int:
         _write_table(args.arc_csv, "theta,re,im,abs,arc_class",
                      (f"{_fmt(theta)},{_fmt(re_v)},{_fmt(im_v)},{_fmt(abs_v)},{label}\n"
                       for theta, re_v, im_v, abs_v, label
-                      in circle.arc_sweep(sieve, n, args.k, args.delta)))
+                      in classification.rows(sieve)))
     return 0
 
 

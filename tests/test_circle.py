@@ -27,7 +27,7 @@ from goldbachkit import (
     s0_sum,
 )
 from goldbachkit import circle
-from goldbachkit.circle import _f_on_grid, _kernel_on_grid
+from goldbachkit.circle import _f_on_grid, _kernel_on_grid, _prefix_s0
 
 LOG2 = math.log(2)
 LOG3 = math.log(3)
@@ -72,6 +72,23 @@ def test_s0_trivial_bound(sieve_10k):
         x = float(rng.uniform(10, 2000))
         bound = chebyshev_psi(sieve_10k, x) + math.floor(x)
         assert abs(s0_sum(sieve_10k, alpha, x)) <= bound * (1 + 1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=10_000),
+       st.floats(min_value=-2.0, max_value=2.0, allow_nan=False))
+@example(10_000, 0.0)
+@example(1, 0.25)
+def test_s0_sum_matches_prefix_within_bound(sieve_10k, m, alpha):
+    """s0_sum against _prefix_s0(...)[m - 1] within the bound _prefix_s0 states:
+    the terms are bit-identical, so only the two summations differ."""
+    value = s0_sum(sieve_10k, alpha, float(m))
+    prefix = _prefix_s0(sieve_10k, alpha, m)[m - 1]
+    mass = math.fsum(np.abs(sieve_10k.values[1 : m + 1] - 1.0).tolist())
+    gamma = (m - 1) * U / (1 - (m - 1) * U)
+    bound = (gamma + U) * mass
+    assert abs(value.real - prefix.real) <= bound
+    assert abs(value.imag - prefix.imag) <= bound
 
 
 def test_dirichlet_examples():
@@ -434,6 +451,12 @@ def test_arc_sweep_rows(sieve_10k):
     # each |F| is rounded as abs() of one complex (numpy's array abs can be 2 ulp off)
     assert all(r[3] == abs(complex(r[1], r[2])) for r in rows)
     assert {r[4] for r in rows} == {"major", "minor"}
+
+
+@pytest.mark.parametrize("n,k,delta", [(600, 2, 0.5), (300, 3, 0.3), (64, 2, 0.5)])
+def test_arc_rows_from_classification(sieve_10k, n, k, delta):
+    # the rows depend only on the classification and the table
+    assert arc_classify(n, k, delta).rows(sieve_10k) == arc_sweep(sieve_10k, n, k, delta)
 
 
 def test_minor_arc_l2_band(sieve_10k, calibration):

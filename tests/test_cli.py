@@ -282,6 +282,22 @@ def test_circle_check(tmp_path, capsys):
     assert lines[1].endswith("major")
 
 
+def test_circle_check_classifies_the_arcs_once(monkeypatch, tmp_path, capsys):
+    calls = []
+    classify = circle.arc_classify
+
+    def counted(*args):
+        calls.append(args)
+        return classify(*args)
+
+    monkeypatch.setattr(circle, "arc_classify", counted)
+    code, _, _ = run_cli(capsys, "circle-check", "--n", "600",
+                         "--arc-csv", str(tmp_path / "arcs.csv"))
+    assert code == 0
+    assert calls == [(600, 2, 0.5)]
+    assert len((tmp_path / "arcs.csv").read_text().splitlines()) == 1 + 4 * 600
+
+
 def test_omega_scan(tmp_path, capsys):
     chain = tmp_path / "chain.csv"
     maxg = tmp_path / "maxg.csv"

@@ -147,6 +147,27 @@ def test_fft_k2_within_derived_bound(sieve_10k, limit):
 
 
 @settings(max_examples=60, deadline=None)
+@given(st.sampled_from([3, 4]).flatmap(
+    lambda k: st.tuples(st.just(k), st.integers(min_value=2 * k, max_value=4096))))
+@example((3, 4096))
+@example((4, 4096))
+def test_fft_k3_k4_within_derived_bound(sieve_10k, drawn):
+    """gk_fft at k = 3, 4 against gk_direct, entry by entry, within the
+    gk_fft docstring's E_k(Lambda, P) plus the direct route's own round-off."""
+    k, limit = drawn
+    fft = gk_fft(sieve_10k, k, limit).values
+    direct = gk_direct(sieve_10k, k, limit).values
+    lam = sieve_10k.values[: limit + 1]
+    pad = _five_smooth_ceil(k * limit + 1)
+    fft_bound = (((k + 1) * math.log2(pad) * FFT_ETA + 3 * k * U)
+                 * lam.sum() ** (k - 1) * math.sqrt(lam @ lam))
+    # k - 1 np.convolve stages, each at most n + 1 nonnegative products per entry
+    direct_bound = (k - 1) * (np.arange(limit + 1) + 1) * U * direct
+    assert np.all(np.abs(fft - direct) <= fft_bound + direct_bound)
+    assert np.all(fft[: 2 * k] == 0.0)
+
+
+@settings(max_examples=60, deadline=None)
 @given(K2_LIMITS)
 @example(4096)
 def test_fft_k2_odd_entries_are_short_sums(sieve_10k, limit):
