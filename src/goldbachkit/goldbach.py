@@ -287,9 +287,9 @@ def bk_decomposition_check(table: MangoldtTable, k: int, n: int) -> tuple[float,
     terms: list[float] = []
     terms.append(float(tables[k - 1][n]))  # i = 0
     for i in range(1, k):
-        g = tables[k - i - 1]
+        g = tables[k - i - 1].tolist()
         inner = [
-            math.comb(n - m - 1, i - 1) * float(g[m])
+            math.comb(n - m - 1, i - 1) * g[m]
             for m in range(max(1, k - i), n - i + 1)
         ]
         terms.append((-1) ** i * math.comb(k, i) * math.fsum(inner))

@@ -6,13 +6,18 @@ partial-fraction coefficients a_j in closed form through f_{i,k} (the top
 one is k!), and the hockey-stick identity.  No floats anywhere.
 """
 
+import functools
 import math
 
 
+@functools.cache
 def f_ki(k: int, i: int) -> int:
     """Alternating sum k^i - C(k,1)(k-1)^i + ... + (-1)^(k-1) C(k,k-1) 1^i.
 
-    Vanishes for 1 <= i <= k-1 and equals k! at i = k.
+    Vanishes for 1 <= i <= k-1 and equals k! at i = k.  Each value is the
+    closed form, computed once per process: the cache holds one int per
+    distinct (k, i) asked for (625 after run_identity_suite(25)), so the
+    identity suite and solve_ak read each f_{k,i} once.
     """
     if k < 1 or i < 1:
         raise ValueError("f_ki requires k >= 1 and i >= 1")
@@ -74,7 +79,12 @@ def hockey_stick(i: int, m: int) -> tuple[int, int]:
 
 
 def run_identity_suite(kmax: int = 25) -> list[tuple[str, bool]]:
-    """Run every exact identity up to kmax; returns (name, passed) rows."""
+    """Run every exact identity up to kmax; returns (name, passed) rows.
+
+    Raises ValueError for kmax < 2, where most rows would hold vacuously.
+    """
+    if kmax < 2:
+        raise ValueError(f"need kmax >= 2, got {kmax}")
     results: list[tuple[str, bool]] = []
     results.append((
         "f_ki vanishes for 1<=i<k",

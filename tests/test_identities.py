@@ -84,8 +84,19 @@ def test_validation_errors():
         solve_ak(0)
     with pytest.raises(ValueError):
         hockey_stick(0, 0)
+    for kmax in (0, 1):
+        with pytest.raises(ValueError):
+            run_identity_suite(kmax)
 
 
 def test_suite_all_green():
     rows = run_identity_suite(25)
     assert rows and all(ok for _, ok in rows)
+
+
+def test_suite_reads_each_fki_once():
+    f_ki.cache_clear()
+    rows = run_identity_suite(25)
+    assert all(ok for _, ok in rows)
+    # one closed form per distinct (k, i), 1 <= k, i <= 25
+    assert f_ki.cache_info().misses == 625
