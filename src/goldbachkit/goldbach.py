@@ -161,6 +161,11 @@ def _self_convolution(x: np.ndarray, k: int) -> np.ndarray:
     return np.fft.irfft(np.fft.rfft(x, pad) ** k, pad)
 
 
+# Odd entries per block of G_2's shifted adds: a 256 KiB accumulator that
+# stays in L2 while every shift of odd is added into it.
+_SHIFT_BLOCK = 1 << 15
+
+
 def _g2_from_odd_half(lam: np.ndarray) -> np.ndarray:
     """G_2 on [0, N] from Lambda on [0, N], split as odd + T (see gk_fft)."""
     limit = len(lam) - 1
@@ -168,11 +173,18 @@ def _g2_from_odd_half(lam: np.ndarray) -> np.ndarray:
     values = np.zeros(limit + 1)
     values[2::2] = _self_convolution(odd, 2)[: limit // 2]  # n = 2c + 2
     powers = [1 << i for i in range(1, limit.bit_length())]  # the 2^i <= N, i >= 1
-    shifted = np.zeros(len(odd))
-    for p in powers:  # odd n = 2c + 1: n - 2^i = 2(c - 2^(i-1)) + 1
-        shifted[p // 2 :] += odd[: -(p // 2)]
     log2 = math.log(2)  # Lambda(2^i), as build_mangoldt writes it
-    values[1::2] = (2.0 * log2) * shifted
+    block = _SHIFT_BLOCK
+    shifted = np.empty(min(block, len(odd)))
+    for start in range(0, len(odd), block):  # odd n = 2c + 1, c in [start, stop)
+        stop = min(start + block, len(odd))
+        acc = shifted[: stop - start]
+        acc.fill(0.0)
+        for p in powers:  # n - 2^i = 2(c - 2^(i-1)) + 1
+            first = max(start, p // 2)
+            if first < stop:
+                acc[first - start :] += odd[first - p // 2 : stop - p // 2]
+        np.multiply(acc, 2.0 * log2, out=values[2 * start + 1 : 2 * stop : 2])
     log2_squared = log2 * log2
     for i, p in enumerate(powers):  # T*T: each n = 2^i + 2^j, i <= j, is written once
         for q in powers[i:]:
@@ -210,7 +222,10 @@ def gk_fft(table: MangoldtTable, k: int, limit: int) -> GoldbachTable:
     - odd n: 2 log 2 sum_i Lambda(n - 2^i), at most log2(N) shifted adds
       of odd and no transform.  Every term is >= 0, so the entry is within
       log2(N) U G_2(n) of the exact sum, and it is exactly 0.0 where no
-      n - 2^i is a prime power.
+      n - 2^i is a prime power.  The adds run block by block over the
+      output: each block takes every shift, in the order of 2^i, while it
+      is in cache, so every entry gets the additions of whole-array
+      shifted adds in the same order, and the same bits.
 
     k >= 3.  One power of the whole table, x = Lambda on [0, N], at P =
     gk_fft_length(k, N) >= kN + 1; within E_k(x, P).  A half-grid route

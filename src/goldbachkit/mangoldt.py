@@ -76,7 +76,12 @@ class Primorial:
 
 
 def primes_up_to(limit: int) -> np.ndarray:
-    """All primes <= limit (ascending), by boolean Eratosthenes sieve.
+    """All primes <= limit (ascending, int64), by boolean Eratosthenes sieve.
+
+    The sieve holds odd numbers only, odd[j] for 2j + 1, so it is half as
+    long and each prime p crosses off its odd multiples from p^2 with
+    step p in j.  The primes are the marked j turned into 2j + 1 in
+    place, with 2 in the slot of 1, so one array is allocated.
 
     Refuses (ValueError) a sieve longer than MAX_TABLE_LEN before allocating.
     """
@@ -84,12 +89,15 @@ def primes_up_to(limit: int) -> np.ndarray:
         return np.array([], dtype=np.int64)
     if limit + 1 > MAX_TABLE_LEN:
         raise ValueError(f"sieve of {limit + 1} entries exceeds supported size {MAX_TABLE_LEN}")
-    is_prime = np.ones(limit + 1, dtype=bool)
-    is_prime[:2] = False
-    for i in range(2, math.isqrt(limit) + 1):
-        if is_prime[i]:
-            is_prime[i * i :: i] = False
-    return np.nonzero(is_prime)[0].astype(np.int64)
+    odd = np.ones((limit + 1) // 2, dtype=bool)  # odd[0], for 1, is kept for 2
+    for p in range(3, math.isqrt(limit) + 1, 2):
+        if odd[p // 2]:
+            odd[p * p // 2 :: p] = False
+    primes = np.flatnonzero(odd).astype(np.int64, copy=False)
+    primes *= 2
+    primes += 1
+    primes[0] = 2
+    return primes
 
 
 def build_mangoldt(limit: int) -> MangoldtTable:

@@ -9,6 +9,10 @@ top of it: the oscillatory sum
 per-zero coefficients r_k(rho) = -k / (rho ... (rho+k-2)) and their
 algebraic consistency with H_k, truncated explicit formulas for the Riesz
 means psi_j, and residual reports for S_k(X) - X^k/k! - H_k(X).
+
+Every zero sum here (hk_zero_sum, residual_report, psi1_explicit,
+psij_explicit) goes through one kernel, _zero_sums, which takes a list of
+X, so a residual report makes one pass over the table for its whole grid.
 """
 
 import math
@@ -125,16 +129,52 @@ def _power_term(x: float, k: int, gamma: float) -> complex:
     return x ** (k - 0.5) * complex(math.cos(phase), math.sin(phase))
 
 
-def _zero_sum(zeros: ZeroTable, k: int, x: float) -> float:
-    """sum over the table of 2 Re[X^(rho+k-1) / (rho (rho+1) ... (rho+k-1))].
+def _zero_sums(zeros: ZeroTable, k: int, xs) -> list[float]:
+    """sum over the table of 2 Re[X^(rho+k-1) / (rho (rho+1) ... (rho+k-1))], at each X in xs.
 
-    Correctly rounded (fsum), so independent of the term order; an empty
-    table gives 0.0.
+    The one kernel of every zero sum here.  It reads the ordinates once,
+    as Python floats, and forms rho (rho+1) ... (rho+k-1) once per
+    ordinate and log X and X^(k-1/2) once per X; each term is then
+    _power_term(X, k, gamma) / _denominator(gamma, k) with the same
+    operations, so the bits do not depend on how many X share a call.
+    Each sum is correctly rounded (fsum), so independent of the term
+    order; an empty table gives 0.0.
     """
-    return math.fsum(
-        2.0 * (_power_term(x, k, g) / _denominator(g, k)).real
-        for g in zeros.ordinates
+    terms = [(gamma, _denominator(gamma, k)) for gamma in zeros.ordinates.tolist()]
+    sums = []
+    for x in xs:
+        log_x = math.log(x)
+        scale = x ** (k - 0.5)
+        total = []
+        for gamma, den in terms:
+            phase = gamma * log_x
+            total.append(2.0 * (scale * complex(math.cos(phase), math.sin(phase)) / den).real)
+        sums.append(math.fsum(total))
+    return sums
+
+
+def _hk_values(zeros: ZeroTable, k: int, xs) -> list[tuple[float, float]]:
+    """hk_zero_sum at each X in xs, from one kernel pass and one inverse-square sum."""
+    if k < 2:
+        raise ValueError(f"need k >= 2, got {k}")
+    for x in xs:
+        if x < k:
+            raise ValueError(f"need x >= k, got x = {x}")
+    if len(zeros) == 0:
+        raise ValueError("empty zero table")
+    inverse_squares = zeros.inverse_square_sum()
+    t = zeros.gamma_max
+    density_tail = t ** (1 - k) * (
+        math.log(t / (2 * math.pi)) / (k - 1) + 1.0 / (k - 1) ** 2
     )
+    rows = []
+    for x, zero_sum in zip(xs, _zero_sums(zeros, k, xs)):
+        value = -k * zero_sum
+        bound = (2.0 * k / math.factorial(k - 1)) * x ** (k - 0.5) * inverse_squares
+        check_bound(f"|H_{k}({x})|", abs(value), bound)
+        tail = (2.0 * k / (2 * math.pi)) * x ** (k - 0.5) * density_tail
+        rows.append((value, tail))
+    return rows
 
 
 def hk_zero_sum(zeros: ZeroTable, k: int, x: float) -> tuple[float, float]:
@@ -149,23 +189,7 @@ def hk_zero_sum(zeros: ZeroTable, k: int, x: float) -> tuple[float, float]:
     against the standard zero-counting density log(gamma/2pi)/2pi from the
     last table entry; it is an estimate of the omitted mass, not a rigorous bound.
     """
-    if k < 2:
-        raise ValueError(f"need k >= 2, got {k}")
-    if x < k:
-        raise ValueError(f"need x >= k, got x = {x}")
-    if len(zeros) == 0:
-        raise ValueError("empty zero table")
-    value = -k * _zero_sum(zeros, k, x)
-
-    bound = (2.0 * k / math.factorial(k - 1)) * x ** (k - 0.5) * zeros.inverse_square_sum()
-    check_bound(f"|H_{k}({x})|", abs(value), bound)
-
-    t = zeros.gamma_max
-    density_tail = t ** (1 - k) * (
-        math.log(t / (2 * math.pi)) / (k - 1) + 1.0 / (k - 1) ** 2
-    )
-    tail = (2.0 * k / (2 * math.pi)) * x ** (k - 0.5) * density_tail
-    return value, tail
+    return _hk_values(zeros, k, [x])[0]
 
 
 def granville_rk(k: int, gamma: float) -> complex:
@@ -213,7 +237,7 @@ def psij_explicit(zeros: ZeroTable, table: MangoldtTable, j: int, x: float) -> t
     """
     if j < 1:
         raise ValueError(f"need j >= 1, got {j}")
-    formula = x ** (j + 1) / math.factorial(j + 1) - _zero_sum(zeros, j + 1, x)
+    formula = x ** (j + 1) / math.factorial(j + 1) - _zero_sums(zeros, j + 1, [x])[0]
     direct = riesz_psi_j(table, j, x)
     return formula, direct
 
@@ -248,16 +272,23 @@ class ResidualReport:
 
 
 def residual_report(prefix: PrefixSums, zeros: ZeroTable, x_grid) -> ResidualReport:
-    """Evaluate the average-order residual on a grid of integer X (eps = RESIDUAL_EPS)."""
+    """Evaluate the average-order residual on a grid of integer X (eps = RESIDUAL_EPS).
+
+    Every grid point is range-checked first; then H_k comes from one
+    zero-sum pass over the whole grid, each row exactly hk_zero_sum's
+    value with its bound checked.
+    """
     k = prefix.k
-    rows = []
-    tail_last = 0.0
-    for x in sorted(int(v) for v in x_grid):
+    xs = sorted(int(v) for v in x_grid)
+    for x in xs:
         if not k <= x <= prefix.limit:
             raise ValueError(f"grid point {x} outside [{k}, {prefix.limit}]")
+    hk = _hk_values(zeros, k, [float(x) for x in xs]) if xs else []
+    rows = []
+    tail_last = 0.0
+    for x, (h_val, tail_last) in zip(xs, hk):
         s_val = float(prefix.sums[x])
         main = float(x) ** k / math.factorial(k)
-        h_val, tail_last = hk_zero_sum(zeros, k, float(x))
         residual = s_val - main - h_val
         rows.append(ResidualRow(
             x=x,

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from goldbachkit import accum
 from goldbachkit.accum import (
     BoundExceeded,
     check_bound,
@@ -49,13 +50,41 @@ def _summands(draw):
     return np.array(head, dtype=np.float64)
 
 
-@settings(max_examples=300, deadline=None)
-@given(_summands())
-def test_running_prefix_matches_loop_bytes(values):
+def _assert_matches_loop(values):
     hi, lo = running_prefix(values)
     ref_hi, ref_lo = neumaier_loop(values)
     assert hi.tobytes() == ref_hi.tobytes()
     assert lo.tobytes() == ref_lo.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(_summands())
+def test_running_prefix_matches_loop_bytes(values):
+    _assert_matches_loop(values)
+
+
+# block sizes that put many block boundaries inside the drawn inputs
+@pytest.mark.parametrize("block", [1, 2, 3, 7])
+@settings(max_examples=60, deadline=None)
+@given(values=_summands())
+def test_running_prefix_matches_loop_bytes_in_small_blocks(block, values):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(accum, "_PREFIX_BLOCK", block)
+        _assert_matches_loop(values)
+
+
+def test_running_prefix_across_real_blocks():
+    # 3 blocks + 1 entry at the module's block size, led by a -0.0 run longer than a block
+    block = accum._PREFIX_BLOCK
+    rng = np.random.default_rng(21)
+    values = rng.standard_normal(3 * block + 1) * 10.0 ** rng.integers(-8, 9, 3 * block + 1)
+    values[: block + 5] = -0.0
+    hi, lo = running_prefix(values)
+    ref_hi, ref_lo = neumaier_loop(values)
+    assert not np.signbit(hi[: block + 5]).any()
+    assert hi.tobytes() == ref_hi.tobytes()
+    assert lo.tobytes() == ref_lo.tobytes()
+    assert np.count_nonzero(lo) > block  # the rounding errors are carried across blocks
 
 
 def test_running_prefix_leading_negative_zero():
@@ -67,8 +96,8 @@ def test_running_prefix_leading_negative_zero():
         assert lo.tobytes() == ref_lo.tobytes()
 
 
-def test_running_prefix_peak_is_three_inputs():
-    # hi, lo and one scratch array: a rewrite that brings back a temporary fails here
+def test_running_prefix_peak_is_two_inputs_and_a_block():
+    # hi, lo and one block of scratch: a rewrite that brings back a full-size temporary fails here
     values = np.random.default_rng(16).random(1 << 20)
     tracemalloc.start()
     try:
@@ -77,7 +106,7 @@ def test_running_prefix_peak_is_three_inputs():
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    assert peak <= 3 * values.nbytes + 64 * 1024
+    assert peak <= 2 * values.nbytes + 8 * accum._PREFIX_BLOCK + 64 * 1024
 
 
 @pytest.mark.parametrize("j", [0, 1, 2, 3])

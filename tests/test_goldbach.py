@@ -19,6 +19,7 @@ from goldbachkit import (
     sk_prefix,
     write_goldbach_csv,
 )
+from goldbachkit import goldbach
 from goldbachkit.accum import riesz_integral
 from goldbachkit.goldbach import _five_smooth_ceil, gk_fft_length
 
@@ -188,6 +189,45 @@ def test_fft_k2_odd_entries_are_short_sums(sieve_10k, limit):
 def test_fft_k2_odd_entry_without_representation(sieve_10k):
     # 149 - 2^i = 147, 145, 141, 133, 117, 85, 21: no prime power, so G_2(149) = 0
     assert gk_fft(sieve_10k, 2, 4096).values[149] == 0.0
+
+
+def _unblocked_odd_g2(lam):
+    """G_2 at odd n = 2c + 1: every shift of the odd half added over the whole
+    array, one shift after the other in increasing 2^i, then scaled."""
+    limit = len(lam) - 1
+    odd = lam[1::2]
+    shifted = np.zeros(len(odd))
+    reached = np.zeros(len(odd), dtype=bool)
+    for i in range(1, limit.bit_length()):
+        h = 1 << (i - 1)
+        shifted[h:] += odd[:-h]
+        reached[h:] |= odd[:-h] > 0.0
+    return (2.0 * LOG2) * shifted, reached
+
+
+def _check_blocked_odd_g2(table, limit):
+    lam = table.values[: limit + 1]
+    expected, reached = _unblocked_odd_g2(lam)
+    odd_entries = gk_fft(table, 2, limit).values[1::2]
+    assert odd_entries.tobytes() == expected.tobytes()
+    # exactly +0.0 where no n - 2^i is a prime power, and only there
+    assert np.array_equal(odd_entries == 0.0, ~reached)
+    assert not np.signbit(odd_entries).any()
+
+
+def test_fft_k2_odd_entries_across_shift_blocks():
+    # the odd half spans 4 full blocks of the module's block size and half of a fifth
+    block = goldbach._SHIFT_BLOCK
+    limit = 9 * block
+    assert (limit + 1) // 2 == 4 * block + block // 2
+    _check_blocked_odd_g2(build_mangoldt(limit), limit)
+
+
+@pytest.mark.parametrize("block", [1, 3, 7])
+@pytest.mark.parametrize("limit", [5, 64, 999, 1000])
+def test_fft_k2_odd_entries_in_small_shift_blocks(sieve_10k, monkeypatch, block, limit):
+    monkeypatch.setattr(goldbach, "_SHIFT_BLOCK", block)
+    _check_blocked_odd_g2(sieve_10k, limit)
 
 
 def test_fft_small_table_zero_entry(sieve_10k):

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from goldbachkit import identities
 from goldbachkit import (
     alternating_sums,
     derivative_alternating_sum,
@@ -36,6 +37,22 @@ def test_fki_recurrence_grid():
     assert all(
         verify_fki_recurrence(k, i) for k in range(2, 26) for i in range(2, 26)
     )
+
+
+@pytest.mark.parametrize("wrong", [(1, 1), (2, 2), (4, 3), (5, 7), (9, 9)])
+def test_fki_recurrence_sees_one_wrong_entry(monkeypatch, wrong):
+    # f_{k,i} = k (f_{k,i-1} + f_{k-1,i-1}) reads (k, i), (k, i-1) and (k-1, i-1)
+    closed_form = f_ki
+
+    def one_wrong(k, i):
+        return closed_form(k, i) + ((k, i) == wrong)
+
+    monkeypatch.setattr(identities, "f_ki", one_wrong)
+    k0, i0 = wrong
+    readers = {(k0, i0), (k0, i0 + 1), (k0 + 1, i0 + 1)}
+    for k in range(2, 12):
+        for i in range(2, 12):
+            assert verify_fki_recurrence(k, i) == ((k, i) not in readers), (k, i)
 
 
 def test_solve_ak_small():

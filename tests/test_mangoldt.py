@@ -97,6 +97,28 @@ def test_sieve_bytes_match_per_prime_loop(limit):
     assert build_mangoldt(limit).values.tobytes() == _per_prime_mangoldt(limit).tobytes()
 
 
+def _plain_sieve(limit):
+    """Every integer in one boolean array, each prime crossing off its multiples."""
+    is_prime = np.ones(limit + 1, dtype=bool)
+    is_prime[:2] = False
+    for i in range(2, math.isqrt(limit) + 1):
+        if is_prime[i]:
+            is_prime[i * i :: i] = False
+    return is_prime
+
+
+def test_odd_sieve_matches_plain_sieve():
+    small = [p for p in range(2, 60) if all(p % d for d in range(2, p))]
+    limits = list(range(3001))
+    limits += [p * p + d for p in small for d in (-1, 0, 1)]
+    limits += [(1 << j) + d for j in range(1, 23) for d in (-1, 1)]
+    plain = _plain_sieve(max(limits))
+    for limit in limits:
+        primes = primes_up_to(limit)
+        assert primes.dtype == np.int64, limit
+        assert np.array_equal(primes, np.flatnonzero(plain[: limit + 1])), limit
+
+
 def test_build_rejects_tiny_limit():
     with pytest.raises(ValueError):
         build_mangoldt(1)

@@ -3,8 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from goldbachkit import (
+    BoundExceeded,
     ZeroFormatError,
     ZeroTable,
     gk_fft,
@@ -18,7 +21,7 @@ from goldbachkit import (
     sk_prefix,
     write_residual_csv,
 )
-from goldbachkit.zeros import ZETA_LOGDERIV_0, ZETA_LOGDERIV_M1
+from goldbachkit.zeros import ZETA_LOGDERIV_0, ZETA_LOGDERIV_M1, _zero_sums
 
 GAMMA1 = 14.134725141734694
 GAMMA2 = 21.022039638771555
@@ -198,6 +201,54 @@ def test_residual_report_rejects_bad_grid(sieve_10k, zeros100):
         residual_report(prefix, zeros100, [1])
     with pytest.raises(ValueError):
         residual_report(prefix, zeros100, [128])
+
+
+def _zero_sum_per_term(ordinates, k, x):
+    """The zero sum term by term over numpy scalars, each term from scratch."""
+    def term(gamma):
+        rho = complex(0.5, gamma)
+        den = rho
+        for j in range(1, k):
+            den *= rho + j
+        phase = gamma * math.log(x)
+        power = x ** (k - 0.5) * complex(math.cos(phase), math.sin(phase))
+        return 2.0 * (power / den).real
+
+    return math.fsum(term(gamma) for gamma in ordinates)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.floats(min_value=0.01, max_value=1e6), min_size=1, max_size=40, unique=True),
+    st.sampled_from([2, 3, 4]),
+    st.lists(st.floats(min_value=4.0, max_value=1e12), min_size=1, max_size=5),
+)
+def test_zero_sum_kernel_matches_per_term_bits(gammas, k, xs):
+    table = ZeroTable(ordinates=np.array(sorted(gammas)))
+    sums = _zero_sums(table, k, xs)
+    assert len(sums) == len(xs)
+    for x, value in zip(xs, sums):
+        assert value.hex() == _zero_sum_per_term(table.ordinates, k, x).hex()
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_residual_report_rows_are_hk_zero_sum_bits(sieve_10k, zeros100, k):
+    limit = 3000
+    grid = [k, 5, 64, 100, 999, 1024, 2047, limit]
+    report = residual_report(sk_prefix(gk_fft(sieve_10k, k, limit)), zeros100, grid)
+    assert [row.x for row in report.rows] == sorted(grid)
+    for row in report.rows:
+        value, tail = hk_zero_sum(zeros100, k, float(row.x))
+        assert row.h_value.hex() == value.hex()
+    assert report.truncation_estimate.hex() == tail.hex()
+
+
+def test_bound_is_checked_per_call_and_per_row(sieve_10k, zeros100, monkeypatch):
+    monkeypatch.setattr(ZeroTable, "inverse_square_sum", lambda self: 1e-30)
+    with pytest.raises(BoundExceeded):
+        hk_zero_sum(zeros100, 2, 100.0)
+    with pytest.raises(BoundExceeded):
+        residual_report(sk_prefix(gk_fft(sieve_10k, 2, 64)), zeros100, [16, 64])
 
 
 def test_residual_csv_format(sieve_10k, zeros100):
