@@ -2,27 +2,24 @@
 """Byte-identity gate for the command-line interface.
 
 Runs a fixed set of ``goldbachkit`` commands in-process, each in a fresh
-temporary working directory, and prints one sha256 per command for its
+temporary working directory, and captures each command's exit code, its
 stdout, its stderr and every side file it writes (``--output``,
-``--arc-csv``, ``--maxg-output``), together with its exit code.  A refactor
-that promises byte-identical output is checked by capturing the hashes
-before it and comparing after:
-
-    python3 scripts/cli_golden.py > before.txt
-    ... change the code ...
-    python3 scripts/cli_golden.py --compare before.txt
-
-When outputs are meant to move, the hashes only say which commands moved.
-``--save DIR`` writes every output itself under ``DIR/<command>/`` (files
-``exit``, ``stdout``, ``stderr`` and each side file by its name), and
-``--diff DIR`` reruns the set and reports, for each differing command and
-per CSV column or JSON field, the largest relative move and where it
-occurs, and the entries that became or stopped being exact zeros; text and
-exit-code differences are reported as such:
+``--arc-csv``, ``--maxg-output``).  ``--save DIR`` writes these under
+``DIR/<command>/`` (files ``exit``, ``stdout``, ``stderr`` and each side
+file by its name); ``--diff DIR`` reruns the set and compares every output
+with the saved one, byte for byte:
 
     python3 scripts/cli_golden.py --save before/
     ... change the code ...
     python3 scripts/cli_golden.py --diff before/
+
+``--diff`` exits 1 if any output differs in any byte or is missing on one
+side.  For each differing command it reports, per CSV column or JSON field,
+the largest relative move and where it occurs, and the entries that became
+or stopped being exact zeros; text and exit-code differences are reported
+as such, and an output whose bytes differ while every value is equal
+(reordered JSON keys, other whitespace, a renamed log field) as exactly
+that.
 
 The package is imported from the ``src`` directory next to this script, so
 two checkouts can be compared without installing either.  The zero-table
@@ -31,7 +28,6 @@ environment variable is ignored, so every run uses the bundled table.
 
 import argparse
 import contextlib
-import hashlib
 import io
 import json
 import math
@@ -119,10 +115,6 @@ COMMANDS = [
 ]
 
 
-def _sha(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
-
-
 def run_command(argv: list[str], side_files: list[str]) -> dict[str, bytes | None]:
     """Run one command; return its outputs by stream name, exit code first.
 
@@ -150,49 +142,6 @@ def run_command(argv: list[str], side_files: list[str]) -> dict[str, bytes | Non
 def run_all() -> dict[str, dict[str, bytes | None]]:
     os.environ.pop(cli.ZEROS_ENV_VAR, None)
     return {name: run_command(argv, side_files) for name, argv, side_files in COMMANDS}
-
-
-def collect() -> list[str]:
-    lines = []
-    for name, outputs in run_all().items():
-        for stream, data in outputs.items():
-            if stream == "exit":
-                digest = data.decode()
-            else:
-                digest = "missing" if data is None else _sha(data)
-            lines.append(f"{name} {stream} {digest}")
-    return lines
-
-
-def _by_command(lines: list[str]) -> dict[str, list[str]]:
-    grouped: dict[str, list[str]] = {}
-    for line in lines:
-        grouped.setdefault(line.split(" ", 1)[0], []).append(line)
-    return grouped
-
-
-def compare(lines: list[str], reference_path: str) -> int:
-    """Report each command as identical or not; nonzero exit on any change."""
-    with open(reference_path, encoding="ascii") as handle:
-        expected = _by_command([line.rstrip("\n") for line in handle if line.strip()])
-    actual = _by_command(lines)
-    names = sorted(set(expected) | set(actual))
-    differing = 0
-    for name in names:
-        before, after = expected.get(name, []), actual.get(name, [])
-        if before == after:
-            print(f"identical {name}")
-            continue
-        differing += 1
-        print(f"DIFFERS {name}")
-        for line in before:
-            if line not in after:
-                print(f"  reference: {line}")
-        for line in after:
-            if line not in before:
-                print(f"  current:   {line}")
-    print(f"{len(names) - differing} identical, {differing} differ")
-    return 1 if differing else 0
 
 
 def save(runs: dict[str, dict[str, bytes | None]], directory: pathlib.Path) -> None:
@@ -295,7 +244,10 @@ def _cells(data: bytes) -> dict:
 
 
 def stream_moves(stream: str, before: bytes | None, after: bytes | None) -> list[str]:
-    """How one output moved between a reference and a current run, one line each."""
+    """How one output moved between a reference and a current run, one line each.
+
+    Empty exactly when the two are equal byte for byte (both None included).
+    """
     if before == after:
         return []
     if before is None or after is None:
@@ -345,11 +297,12 @@ def stream_moves(stream: str, before: bytes | None, after: bytes | None) -> list
                           f"{_at_lines(moves['stopped'])}")
     if texts:
         report.append(f"{stream} text: {_listed(texts)}")
-    return report
+    # the bytes differ, so a change the cells cannot show is still reported
+    return report or [f"{stream}: bytes differ, every value equal"]
 
 
 def diff(reference: dict, current: dict) -> int:
-    """Report each command as identical or by its moves; nonzero exit on any change."""
+    """Report each command as identical or by its moves; 1 if any output differs."""
     names = sorted(set(reference) | set(current))
     differing = 0
     for name in names:
@@ -375,29 +328,22 @@ def diff(reference: dict, current: dict) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    mode = parser.add_mutually_exclusive_group()
-    mode.add_argument("--compare", metavar="FILE", default=None,
-                      help="hash file from an earlier run to compare against")
+    mode = parser.add_mutually_exclusive_group(required=True)
     mode.add_argument("--save", metavar="DIR", type=pathlib.Path, default=None,
                       help="write every output under DIR/<command>/")
     mode.add_argument("--diff", metavar="DIR", type=pathlib.Path, default=None,
-                      help="report value moves against outputs saved by --save")
+                      help="compare every output with those saved by --save")
     args = parser.parse_args(argv)
     if args.save is not None:
+        if args.save.exists() and not args.save.is_dir():
+            parser.error(f"{args.save} is not a directory")
         if args.save.exists() and any(args.save.iterdir()):
             parser.error(f"{args.save} is not empty")
         save(run_all(), args.save)
         return 0
-    if args.diff is not None:
-        if not args.diff.is_dir():
-            parser.error(f"{args.diff} is not a directory")
-        return diff(load(args.diff), run_all())
-    lines = collect()
-    if args.compare:
-        return compare(lines, args.compare)
-    for line in lines:
-        print(line)
-    return 0
+    if not args.diff.is_dir():
+        parser.error(f"{args.diff} is not a directory")
+    return diff(load(args.diff), run_all())
 
 
 if __name__ == "__main__":

@@ -16,7 +16,6 @@ from .circle import (
     arc_classify,
     arc_sweep,
     cauchy_psi_recovery,
-    dirichlet_I,
     expected_value_E,
     f_partial,
     fz_powerseries_identity,
@@ -58,7 +57,6 @@ from .mangoldt import (
     primorial,
     psi_integral_check,
     psi_progression,
-    psi_shift_check,
     riesz_psi_j,
 )
 from .omega import (

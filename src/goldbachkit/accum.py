@@ -26,8 +26,8 @@ class BoundExceeded(AssertionError):
 
 
 def check_bound(what: str, value: float, bound: float) -> None:
-    """Raise BoundExceeded when value > bound (1 + 1e-9)."""
-    if value > bound * (1.0 + 1e-9):
+    """Raise BoundExceeded unless value <= bound (1 + 1e-9); a NaN never passes."""
+    if not value <= bound * (1.0 + 1e-9):
         raise BoundExceeded(what, value, bound)
 
 

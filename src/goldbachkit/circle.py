@@ -1,9 +1,9 @@
 """Circle-method numerics on |z| = R = 1 - 1/N.
 
-Exponential sums with coefficients Lambda - 1, the Dirichlet kernel bound,
-mean-square expected values and their alpha-integral near 0 in closed
-form, the power series F(z) = sum Lambda(n) z^n, the coefficient-extraction
-kernel K(z) = z^(-N-1)(1 - z^N)/(1 - z) and the contour recovery of psi(N),
+Exponential sums with coefficients Lambda - 1, mean-square expected values
+and their alpha-integral near 0 in closed form, the power series
+F(z) = sum Lambda(n) z^n, the coefficient-extraction kernel
+K(z) = z^(-N-1)(1 - z^N)/(1 - z) and the contour recovery of psi(N),
 closed-form checks of sum n^k z^n, major/minor arc classification, and the
 Parseval mass of F - 1/(1-z).
 
@@ -113,26 +113,6 @@ def s0_sum(table: MangoldtTable, alpha: float, x: float) -> complex:
     coeff = table.values[1 : m + 1] - 1.0
     phases = np.exp(2j * np.pi * alpha * n)
     return complex(exact_sum(coeff * phases.real), exact_sum(coeff * phases.imag))
-
-
-def dirichlet_I(x: float, alpha: float) -> complex:
-    """I(x, alpha) = sum_{n <= x} e(n alpha), in closed geometric form.
-
-    The size bound |I| <= min(floor(x), 1/(2 ||alpha||)) is checked on
-    every call (||.|| is the distance to the nearest integer); breaking it
-    raises BoundExceeded.
-    """
-    if x < 1:
-        raise ValueError(f"need x >= 1, got {x}")
-    m = int(math.floor(x))
-    dist = abs(alpha - round(alpha))
-    if dist == 0.0:
-        return complex(m, 0.0)
-    w = cmath.exp(2j * math.pi * alpha)
-    value = w * (w**m - 1.0) / (w - 1.0)
-    bound = min(float(m), 1.0 / (2.0 * dist))
-    check_bound(f"|I({x}, {alpha})|", abs(value), bound)
-    return value
 
 
 def _prefix_s0(table: MangoldtTable, alpha: float, up_to: int) -> np.ndarray:
@@ -412,6 +392,8 @@ def lemma1_check(k: int, n: int, theta: float) -> Lemma1Result:
         raise ValueError(f"need k >= 2, got {k}")
     if n < 2:
         raise ValueError(f"need N >= 2, got {n}")
+    if not math.isfinite(theta):
+        raise ValueError(f"need a finite theta, got {theta}")
     z = (1.0 - 1.0 / n) * cmath.exp(2j * math.pi * theta)
     one_minus = 1.0 - z
     coeffs = solve_ak(k)

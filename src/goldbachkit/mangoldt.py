@@ -156,18 +156,6 @@ def riesz_psi_j(table, j: int, x: float) -> float:
     return weighted_power_sum(table.values, x, j) / math.factorial(j)
 
 
-def psi_shift_check(table: MangoldtTable, j: int, x: float) -> tuple[float, float]:
-    """Unit-shift increment of psi_j against its x^j growth scale.
-
-    Returns (psi_j(x+1) - psi_j(x), x^j); the ratio of the two is bounded,
-    which callers assert at whatever constant they calibrate.
-    """
-    if j < 1:
-        raise ValueError("shift check needs j >= 1")
-    a = riesz_psi_j(table, j, x)
-    return riesz_psi_j(table, j, x + 1) - a, x**j
-
-
 def psi_integral_check(table: MangoldtTable, j: int, x: float) -> tuple[float, float]:
     """psi_j(x) against the exact integral of psi_{j-1} over [0, x].
 

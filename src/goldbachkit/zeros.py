@@ -158,7 +158,7 @@ def _hk_values(zeros: ZeroTable, k: int, xs) -> list[tuple[float, float]]:
     if k < 2:
         raise ValueError(f"need k >= 2, got {k}")
     for x in xs:
-        if x < k:
+        if not x >= k:
             raise ValueError(f"need x >= k, got x = {x}")
     if len(zeros) == 0:
         raise ValueError("empty zero table")

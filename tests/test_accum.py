@@ -163,3 +163,9 @@ def test_bound_exceeded_carries_value_and_bound():
     assert isinstance(info.value, BoundExceeded)
     assert (info.value.value, info.value.bound) == (1.5, 1.0)
     assert str(info.value) == "ratio = 1.5 exceeds its bound 1.0"
+
+
+@pytest.mark.parametrize("value,bound", [(math.nan, 1.0), (1.0, math.nan), (math.nan, math.inf)])
+def test_nan_never_passes_a_bound(value, bound):
+    with pytest.raises(BoundExceeded):
+        check_bound("ratio", value, bound)

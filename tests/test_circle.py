@@ -15,7 +15,6 @@ from goldbachkit import (
     build_mangoldt,
     cauchy_psi_recovery,
     chebyshev_psi,
-    dirichlet_I,
     expected_value_E,
     f_partial,
     fz_powerseries_identity,
@@ -89,21 +88,6 @@ def test_s0_sum_matches_prefix_within_bound(sieve_10k, m, alpha):
     bound = (gamma + U) * mass
     assert abs(value.real - prefix.real) <= bound
     assert abs(value.imag - prefix.imag) <= bound
-
-
-def test_dirichlet_examples():
-    assert dirichlet_I(10.0, 0.0) == 10.0
-    assert abs(dirichlet_I(4.0, 0.5)) < 1e-12
-    assert abs(dirichlet_I(3.0, 1.0 / 3.0)) < 1e-12
-
-
-def test_dirichlet_bound_random_samples():
-    # the size bound is asserted inside every call
-    rng = np.random.default_rng(3)
-    for _ in range(10_000):
-        x = float(rng.uniform(1, 10_000))
-        alpha = float(rng.uniform(-2, 2))
-        dirichlet_I(x, alpha)
 
 
 def test_expected_value_unit_interval(sieve_10k):
@@ -414,6 +398,12 @@ def test_lemma1_budget_holds(k, n, theta):
     z = (1 - 1 / n) * cmath.exp(2j * math.pi * theta)
     allowance = result.budget * max(1.0, abs(1 - z) ** (k - 1))
     assert result.ratio <= allowance * (1 + 1e-9)
+
+
+@pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+def test_lemma1_refuses_a_non_finite_theta(theta):
+    with pytest.raises(ValueError, match="finite theta"):
+        lemma1_check(2, 100, theta)
 
 
 def test_lemma1_inner_circle_budget():

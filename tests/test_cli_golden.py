@@ -79,6 +79,7 @@ def test_text_exit_code_and_layout_are_reported_as_such(golden):
     assert golden.stream_moves("stdout", b"PASS a\n", b"FAIL a\n") == [
         "stdout text: column 1 at line 1: 'PASS a' -> 'FAIL a'"]
     assert golden.stream_moves("out.csv", b"x\n", None) == ["out.csv: missing now"]
+    assert golden.stream_moves("out.csv", None, b"x\n") == ["out.csv: missing in the reference"]
     assert golden.stream_moves("stdout", TABLE, TABLE + b"7,3\n") == [
         "stdout: layout differs (5 -> 6 lines); values not compared"]
     # a log record's name=value tokens are named columns
@@ -102,3 +103,77 @@ def test_save_then_diff_reruns_the_set(golden, tmp_path, capsys, monkeypatch):
     out = capsys.readouterr().out
     assert "DIFFERS sieve-small" in out
     assert "largest relative move" in out and "at line 30" in out
+
+
+# byte changes that leave every cell's value equal; each must still fail the gate
+EQUAL_VALUES = {
+    "json-key-reorder": ("report.json", REPORT, b'{\n  "ratio": 0.5,\n  "gap": 0.0\n}\n'),
+    "json-re-indent": ("report.json", REPORT, b'{"gap": 0.0, "ratio": 0.5}\n'),
+    "renamed-log-token": ("stderr", b"level=info tail=2.0\n", b"level=info tails=2.0\n"),
+    "invalid-utf8-byte": ("stdout", b"n,value\n4,\xff\n", b"n,value\n4,\xfe\n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EQUAL_VALUES))
+def test_byte_change_with_equal_values_differs(golden, tmp_path, capsys, case):
+    stream, before, after = EQUAL_VALUES[case]
+    assert golden.stream_moves(stream, before, after) == [
+        f"{stream}: bytes differ, every value equal"]
+    code, lines = _diff_saved(golden, tmp_path, capsys,
+                              {"exit": b"0", stream: before}, {"exit": b"0", stream: after})
+    assert code == 1
+    assert lines == ["DIFFERS gk-small", f"  {stream}: bytes differ, every value equal",
+                     "0 identical, 1 differ"]
+
+
+def _one_byte_changed(data: bytes) -> bytes:
+    """data with its last byte replaced by another, or one byte if it is empty."""
+    if not data:
+        return b"x"
+    return data[:-1] + bytes([data[-1] ^ 1])
+
+
+def test_one_byte_change_in_any_saved_stream_differs(golden, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(golden, "COMMANDS", [
+        ("sieve-file", ["sieve", "--limit", "30", "--output", "s.csv"], ["s.csv"])])
+    saved = tmp_path / "saved"
+    assert golden.main(["--save", str(saved)]) == 0
+    streams = sorted(path.name for path in (saved / "sieve-file").iterdir())
+    assert streams == ["exit", "s.csv", "stderr", "stdout"]
+    assert golden.main(["--diff", str(saved)]) == 0
+    capsys.readouterr()
+    for stream in streams:
+        path = saved / "sieve-file" / stream
+        original = path.read_bytes()
+        path.write_bytes(_one_byte_changed(original))
+        assert golden.main(["--diff", str(saved)]) == 1, stream
+        out = capsys.readouterr().out.splitlines()
+        assert len(out) == 3 and out[1].startswith(f"  {stream}"), out
+        assert (out[0], out[2]) == ("DIFFERS sieve-file", "0 identical, 1 differ")
+        path.write_bytes(original)
+
+
+def test_one_mode_is_required(golden, capsys):
+    with pytest.raises(SystemExit) as info:
+        golden.main([])
+    assert info.value.code == 2
+    assert "one of the arguments --save --diff is required" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as info:
+        golden.main(["--compare", "hashes.txt"])
+    assert info.value.code == 2
+
+
+def test_save_refuses_a_file_and_a_non_empty_directory(golden, tmp_path, capsys):
+    target = tmp_path / "outputs"
+    target.write_text("x")
+    with pytest.raises(SystemExit) as info:
+        golden.main(["--save", str(target)])
+    assert info.value.code == 2
+    assert f"{target} is not a directory" in capsys.readouterr().err
+    full = tmp_path / "full"
+    full.mkdir()
+    (full / "stale").write_text("x")
+    with pytest.raises(SystemExit) as info:
+        golden.main(["--save", str(full)])
+    assert info.value.code == 2
+    assert f"{full} is not empty" in capsys.readouterr().err

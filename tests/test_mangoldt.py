@@ -14,7 +14,6 @@ from goldbachkit import (
     progression_bound_check,
     psi_integral_check,
     psi_progression,
-    psi_shift_check,
     riesz_psi_j,
 )
 from goldbachkit.mangoldt import MAX_TABLE_LEN, primes_up_to
@@ -179,20 +178,6 @@ def test_psijquery_validation(sieve_10k):
         riesz_psi_j(sieve_10k, -1, 10.0)
     with pytest.raises(ValueError, match="evaluation point"):
         riesz_psi_j(sieve_10k, 0, 0.5)
-
-
-def test_shift_check(sieve_10k):
-    diff, scale = psi_shift_check(sieve_10k, 1, 100.0)
-    assert scale == 100.0
-    assert 0.0 <= diff <= chebyshev_psi(sieve_10k, 101.0)
-    assert diff / scale < 3.0
-
-    diff2, _ = psi_shift_check(sieve_10k, 2, 10.0)
-    brute = riesz_psi_j(sieve_10k, 2, 11.0) - riesz_psi_j(sieve_10k, 2, 10.0)
-    assert diff2 == pytest.approx(brute, rel=1e-12)
-
-    diff3, _ = psi_shift_check(sieve_10k, 1, 1.0)
-    assert diff3 == 0.0
 
 
 @pytest.mark.parametrize("j", [1, 2, 3, 4])

@@ -21,7 +21,13 @@ from goldbachkit import (
     sk_prefix,
     write_residual_csv,
 )
-from goldbachkit.zeros import ZETA_LOGDERIV_0, ZETA_LOGDERIV_M1, _zero_sums
+from goldbachkit.zeros import (
+    ZETA_LOGDERIV_0,
+    ZETA_LOGDERIV_M1,
+    _denominator,
+    _power_term,
+    _zero_sums,
+)
 
 GAMMA1 = 14.134725141734694
 GAMMA2 = 21.022039638771555
@@ -131,6 +137,12 @@ def test_hk_validation(zeros100):
         hk_zero_sum(zeros100, 3, 2.0)
 
 
+def test_hk_refuses_nan_x(zeros100):
+    # NaN fails every comparison, so the guard is written to refuse it
+    with pytest.raises(ValueError, match="need x >= k"):
+        hk_zero_sum(zeros100, 2, math.nan)
+
+
 def test_granville_rk():
     rho = complex(0.5, GAMMA1)
     assert granville_rk(2, GAMMA1) == pytest.approx(-2.0 / rho, rel=1e-15)
@@ -229,6 +241,24 @@ def test_zero_sum_kernel_matches_per_term_bits(gammas, k, xs):
     assert len(sums) == len(xs)
     for x, value in zip(xs, sums):
         assert value.hex() == _zero_sum_per_term(table.ordinates, k, x).hex()
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+@pytest.mark.parametrize("x", [4.0, 100.5, 1e6, 2.0**40])
+@pytest.mark.parametrize("gamma", [GAMMA1, GAMMA2, 100000.3])
+def test_zero_sum_term_is_the_named_helpers_quotient(k, x, gamma):
+    # the kernel's docstring: each term is _power_term / _denominator, same operations
+    quotient = _power_term(x, k, gamma) / _denominator(gamma, k)
+    table = ZeroTable(ordinates=np.array([gamma]))
+    assert _zero_sums(table, k, [x])[0].hex() == (2.0 * quotient.real).hex()
+    # criterion 9's right-hand side is -k times that quotient: bit for bit where
+    # scaling by k is exact (k a power of two); at k = 3 the product -k X^(rho+k-1)
+    # is rounded before the division, which moves the result by a few ulps only
+    _, rhs = rk_hk_consistency(k, gamma, x)
+    if k in (2, 4):
+        assert rhs == -k * quotient
+    else:
+        assert abs(rhs - (-k * quotient)) <= 8 * 2.0**-53 * k * abs(quotient)
 
 
 @pytest.mark.parametrize("k", [2, 3])
