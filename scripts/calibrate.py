@@ -9,7 +9,6 @@ shifts the baselines.
 """
 
 import json
-import math
 import pathlib
 import sys
 

@@ -18,7 +18,6 @@ from .circle import (
     cauchy_psi_recovery,
     expected_value_E,
     f_partial,
-    fz_powerseries_identity,
     gy_lemma_diagnostic,
     kernel_K,
     lemma1_check,
@@ -32,11 +31,11 @@ from .goldbach import (
     SingularSeriesQuery,
     bk_decomposition_check,
     bk_truncated,
+    fz_powerseries_identity,
     gk_direct,
     gk_fft,
     singular_series,
     sk_prefix,
-    write_goldbach_csv,
 )
 from .identities import (
     alternating_sums,

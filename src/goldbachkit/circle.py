@@ -26,8 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .accum import check_bound, exact_sum, max_discrepancy
-from .goldbach import _convolution_powers, gk_fft, sk_prefix
+from .accum import check_bound, exact_sum
 from .identities import solve_ak
 from .mangoldt import MAX_TABLE_LEN, ArrayResult, MangoldtTable, chebyshev_psi
 
@@ -80,11 +79,9 @@ class CircleGrid:
 
 @dataclass(frozen=True, eq=False)
 class ArcClassification(ArrayResult):
-    """Per-node major/minor flags: major iff |1 - z| < N^(delta/(k+1) - 1)."""
+    """Per-node major/minor flags: major iff |1 - z| < threshold = N^(delta/(k+1) - 1)."""
 
     grid: CircleGrid
-    k: int
-    delta: float
     threshold: float
     is_major: np.ndarray = field(repr=False)
     major_fraction: float
@@ -211,7 +208,7 @@ def f_partial(table: MangoldtTable, z: complex, terms: int) -> PartialSeries:
     coefficients, whose logs grow slower than the geometric decay.
     """
     z = complex(z)
-    if abs(z) >= 1.0:
+    if not abs(z) < 1.0:  # NaN fails this too
         raise ValueError(f"need |z| < 1, got |z| = {abs(z)}")
     if not 0 <= terms <= table.limit:
         raise ValueError(f"need 0 <= terms <= sieve limit {table.limit}, got {terms}")
@@ -242,8 +239,11 @@ def kernel_K(z: complex, n: int) -> complex:
 
     Within 1e-6 of z = 1 the quotient is evaluated as the geometric sum
     1 + z + ... + z^(N-1) instead of the cancelling closed form; K(1) = N.
+    A non-finite z is refused, as is the pole z = 0.
     """
     z = complex(z)
+    if not cmath.isfinite(z):
+        raise ValueError(f"need a finite z, got {z}")
     if z == 0:
         raise ValueError("kernel has a pole of order N+1 at z = 0")
     if abs(1.0 - z) < _KERNEL_GUARD:
@@ -435,8 +435,6 @@ def arc_classify(n: int, k: int, delta: float) -> ArcClassification:
             measure = 2.0 * math.asin(math.sqrt(s2)) / math.pi
     return ArcClassification(
         grid=grid,
-        k=k,
-        delta=delta,
         threshold=threshold,
         is_major=is_major,
         major_fraction=float(np.count_nonzero(is_major)) / grid.nodes,
@@ -494,25 +492,3 @@ def minor_arc_l2(table: MangoldtTable, n: int) -> tuple[float, float]:
     power_sum = exact_sum((table.values[1:] - 1.0) ** 2 * weights)
     return power_sum, reference
 
-
-def fz_powerseries_identity(table: MangoldtTable, k: int, n: int) -> float:
-    """Coefficient-level check of F^k = sum G_k(m) z^m = (1-z) sum S_k(m) z^m.
-
-    Compares the k-fold direct convolution of the Lambda coefficients with
-    the FFT-built table, and the first differences of the prefix sums with
-    the table, over m <= n.  Returns the largest relative discrepancy
-    (absolute floor scaled to the table's magnitude).
-    """
-    if k < 2:
-        raise ValueError(f"need k >= 2, got {k}")
-    if n > table.limit:
-        raise ValueError(f"{n} exceeds sieve limit {table.limit}")
-    fft_table = gk_fft(table, k, n)
-    conv = _convolution_powers(table.values[: n + 1], k, n + 1)[-1]
-    scale = float(np.max(np.abs(conv)))
-    worst = max_discrepancy(conv, fft_table.values, scale=scale)
-
-    prefix = sk_prefix(fft_table)
-    diffs = np.array([prefix.increment(m) for m in range(1, n + 1)])
-    worst = max(worst, max_discrepancy(diffs, fft_table.values[1:], scale=scale))
-    return worst

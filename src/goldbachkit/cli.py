@@ -184,8 +184,8 @@ def _cmd_gk(args) -> int:
         path = args.output
         if both and path not in (None, "-"):  # one file per method, else both on stdout
             path = f"{path}.{tab.method}.csv"
-        with _open_output(path) as out:
-            goldbach.write_goldbach_csv(tab, out)
+        _write_table(path, f"# k={tab.k} N={tab.limit} method={tab.method}\nn,value",
+                     (f"{n},{_fmt(tab.values[n])}\n" for n in range(tab.k, tab.limit + 1)))
     if both:
         direct, fft = tables
         scale = float(abs(direct.values).max())
@@ -264,7 +264,7 @@ def _cmd_circle_check(args) -> int:
         "lemma_sum_nk_budget": lemma.budget,
         "major_arc_fraction": classification.major_fraction,
         "major_arc_measure": classification.analytic_measure,
-        "fz_identity_max_error": circle.fz_powerseries_identity(sieve, args.k, min(n, 512)),
+        "fz_identity_max_error": goldbach.fz_powerseries_identity(sieve, args.k, min(n, 512)),
     }
     with _open_output(args.output) as out:
         json.dump(diagnostics, out, indent=2, sort_keys=True)

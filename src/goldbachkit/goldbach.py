@@ -7,7 +7,9 @@ an FFT route padded far enough that cyclic wraparound cannot occur.  On
 top of the tables: prefix sums S_k(X), the part-capped variant with
 coefficients Lambda - 1, and the singular series.  The Riesz means
 T_j(x) = (1/j!) sum_{n <= x} (x-n)^j G_k(n) are mangoldt.riesz_psi_j of a
-G_k table.
+G_k table.  fz_powerseries_identity checks the power series
+F^k = sum G_k(m) z^m = (1-z) sum S_k(m) z^m coefficient by coefficient,
+with both routes and the prefix sums.
 """
 
 import math
@@ -15,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .accum import running_prefix
+from .accum import max_discrepancy, running_prefix
 from .mangoldt import (MAX_TABLE_LEN, ArrayResult, MangoldtTable, distinct_prime_factors,
                        primes_up_to)
 
@@ -66,7 +68,7 @@ class GoldbachTable(ArrayResult):
     k: int
     limit: int
     values: np.ndarray = field(repr=False)
-    method: str = "direct"
+    method: str
 
 
 @dataclass(frozen=True, eq=False)
@@ -255,6 +257,26 @@ def sk_prefix(table: GoldbachTable) -> PrefixSums:
     return PrefixSums(k=table.k, limit=table.limit, sums=hi + lo, hi=hi, lo=lo)
 
 
+def fz_powerseries_identity(table: MangoldtTable, k: int, n: int) -> float:
+    """Coefficient-level check of F^k = sum G_k(m) z^m = (1-z) sum S_k(m) z^m.
+
+    Compares the k-fold direct convolution of the Lambda coefficients with
+    the FFT-built table, and the first differences of the prefix sums with
+    the table, over m <= n.  Returns the largest relative discrepancy
+    (absolute floor scaled to the table's magnitude).  k and n are checked
+    by gk_fft, which runs first.
+    """
+    fft_table = gk_fft(table, k, n)
+    conv = _convolution_powers(table.values[: n + 1], k, n + 1)[-1]
+    scale = float(np.max(np.abs(conv)))
+    worst = max_discrepancy(conv, fft_table.values, scale=scale)
+
+    prefix = sk_prefix(fft_table)
+    diffs = np.array([prefix.increment(m) for m in range(1, n + 1)])
+    worst = max(worst, max_discrepancy(diffs, fft_table.values[1:], scale=scale))
+    return worst
+
+
 def bk_truncated(table: MangoldtTable, k: int, n: int, x: float) -> float:
     """Part-capped sum over compositions with coefficients Lambda - 1.
 
@@ -333,10 +355,3 @@ def singular_series(query: SingularSeriesQuery) -> tuple[float, float]:
     tail_log = 2.0 * (cutoff - 1.0) ** (1 - k) / (k - 1)
     return value, abs(value) * math.expm1(tail_log)
 
-
-def write_goldbach_csv(table: GoldbachTable, stream) -> None:
-    """Dump (n, G_k(n)) rows with a self-describing header, 17 significant digits."""
-    stream.write(f"# k={table.k} N={table.limit} method={table.method}\n")
-    stream.write("n,value\n")
-    for n in range(table.k, table.limit + 1):
-        stream.write(f"{n},{table.values[n]:.17g}\n")

@@ -97,7 +97,6 @@ class ChainReport:
     final_lhs: float  # sum over n <= 2kx with q | n of G_k(n)
     final_rhs: float
     max_g: float
-    max_g_bound: float
 
 
 def _class_sums(table, up_to: int, q: int) -> np.ndarray:
@@ -124,11 +123,6 @@ def unit_sumsets(q: int, k: int) -> list[tuple[int, ...]]:
     step = 2 if q % 2 == 0 else 1
     units = tuple(a for a in range(q) if math.gcd(a, q) == 1)
     return [units] + [tuple(range(level % step, q, step)) for level in range(2, k + 1)]
-
-
-def _max_g_bound(x: float, k: int, q: int, phi_q: int) -> float:
-    """The primorial lower bound (x^(k-1) / 2^(k+1)) q/phi(q) for max G_k."""
-    return x ** (k - 1) / 2.0 ** (k + 1) * (q / phi_q)
 
 
 def chain_check(table: MangoldtTable, gtables: dict[int, GoldbachTable],
@@ -211,8 +205,7 @@ def chain_check(table: MangoldtTable, gtables: dict[int, GoldbachTable],
     max_g = float(np.max(gtables[k].values[: int(math.floor(2 * k * x)) + 1]))
     return ChainReport(
         x=x, q=q, phi_q=phi_q, levels=tuple(report_levels),
-        final_lhs=final_lhs, final_rhs=final_rhs,
-        max_g=max_g, max_g_bound=_max_g_bound(x, k, q, phi_q),
+        final_lhs=final_lhs, final_rhs=final_rhs, max_g=max_g,
     )
 
 
@@ -227,23 +220,23 @@ class MaxGkScan:
     fallback_applied: bool
 
 
-def max_gk_scan(gtable: GoldbachTable, x: float,
-                q: Primorial | None = None) -> MaxGkScan:
+def max_gk_scan(gtable: GoldbachTable, x: float, q: Primorial) -> MaxGkScan:
     """max G_k(n) over n <= 2kx, its primorial lower bound, and x^(k-1) loglog x.
 
-    q defaults to the default-cutoff primorial; a requested q >= 2x (where
-    the construction is vacuous) is replaced by it and flagged.
+    The bound is (x^(k-1) / 2^(k+1)) q/phi(q).  A q >= 2x, where the
+    construction is vacuous, is replaced by the default-cutoff primorial
+    and flagged.
     """
     k = gtable.k
     scan_top = int(math.floor(2 * k * x))
     if gtable.limit < scan_top:
         raise ValueError(f"table limit {gtable.limit} < 2kx = {scan_top}")
-    fallback = q is not None and q.value >= 2 * x
-    if q is None or fallback:
+    fallback = q.value >= 2 * x
+    if fallback:
         q = primorial(default_cutoff(x))
     values = gtable.values[: scan_top + 1]
     argmax = int(np.argmax(values))
-    bound = _max_g_bound(x, k, q.value, q.phi)
+    bound = x ** (k - 1) / 2.0 ** (k + 1) * (q.value / q.phi)
     reference = x ** (k - 1) * math.log(math.log(x))
     return MaxGkScan(
         max_g=float(values[argmax]),

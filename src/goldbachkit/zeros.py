@@ -90,20 +90,14 @@ def _parse_zero_lines(lines, source: str) -> ZeroTable:
     return ZeroTable(ordinates=np.array(values), source=source)
 
 
-def load_zeros(source) -> ZeroTable:
+def load_zeros(path) -> ZeroTable:
     """Parse a zero-ordinate file: one decimal per line, '#' comments.
 
-    ``source`` may be a path or an open text/binary stream.  Raises
-    ZeroFormatError (with line number) on malformed, non-positive, or
-    non-monotone input, and ValueError on an empty table.
+    ``path`` is a path to an ASCII file (UnicodeDecodeError otherwise).
+    Raises ZeroFormatError (with line number) on malformed, non-positive,
+    or non-monotone input, and ValueError on an empty table.
     """
-    if hasattr(source, "read"):
-        payload = source.read()
-        if isinstance(payload, bytes):
-            payload = payload.decode("ascii")
-        name = getattr(source, "name", "<stream>")
-        return _parse_zero_lines(payload.splitlines(), str(name))
-    path = os.fspath(source)
+    path = os.fspath(path)
     with open(path, "r", encoding="ascii") as handle:
         return _parse_zero_lines(handle.read().splitlines(), path)
 
@@ -181,8 +175,8 @@ def hk_zero_sum(zeros: ZeroTable, k: int, x: float) -> tuple[float, float]:
     """(truncated H_k(x), tail estimate for the ordinates beyond the table).
 
     Each table entry contributes 2 Re[X^(rho+k-1) / (rho ... (rho+k-1))];
-    terms are accumulated in ascending-gamma compensated order and scaled
-    by -k.  The absolute bound
+    the terms are summed correctly rounded (fsum, so in any order) and the
+    sum is scaled by -k.  The absolute bound
         |H_k| <= (2k/(k-1)!) X^(k-1/2) sum gamma^-2
     (from |rho| >= gamma, |rho+1| >= gamma, |rho+j| >= j) is checked on
     every call (BoundExceeded).  The tail estimate integrates gamma^-k

@@ -33,7 +33,6 @@ from goldbachkit import (
     singular_series,
     sk_prefix,
 )
-from goldbachkit.omega import EULER_GAMMA
 
 
 def report(number: int, passed: bool, detail: str) -> None:

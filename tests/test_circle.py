@@ -17,7 +17,6 @@ from goldbachkit import (
     chebyshev_psi,
     expected_value_E,
     f_partial,
-    fz_powerseries_identity,
     gy_lemma_diagnostic,
     kernel_K,
     lemma1_check,
@@ -182,6 +181,93 @@ def test_gy_closed_form_matches_double_sum(sieve_10k, x, h):
     assert reference == x * math.log(x) ** 2 / h
 
 
+def _gauss_error_bound(cell_mass, top_frequency, h, nodes):
+    """Trefethen, ATAP, Thm 19.3 for the alpha-integral of E_x over [-1/2h, 1/2h].
+
+    With alpha = t/2h the integral is (1/2h) times that of g(t) = E_x(t/2h)
+    over [-1, 1].  E_x is a trigonometric polynomial: (1/x) sum_m w_m
+    sum_{i,l <= m} c_i c_l e((i - l) alpha), of top frequency D = m_max - 1
+    < 2x.  On the Bernstein ellipse E_rho, |Im t| <= b = (rho - 1/rho)/2
+    and |e(d alpha)| <= exp(pi |d| b / h), so |g| <= M = cell_mass
+    exp(pi D b / h), cell_mass = (1/x) sum_m w_m A_m^2, A_m = sum_{n <= m}
+    |c_n|.  The theorem bounds the (n+1)-point Gauss rule's error by
+    (64/15) M rho^(-2n) / (rho^2 - 1); the best rho on a grid is taken.
+    """
+    n = nodes - 1
+    rhos = np.linspace(1.01, 64.0, 8192)
+    logs = (math.log(64 / 15) + math.log(cell_mass) - math.log(2 * h)
+            + math.pi * top_frequency * (rhos - 1 / rhos) / (2 * h)
+            - 2 * n * np.log(rhos) - np.log(rhos**2 - 1))
+    return math.exp(float(logs.min()))
+
+
+@pytest.mark.parametrize("x, h, nodes", [(256.0, 1.0, 1200), (256.0, 16.0, 120),
+                                         (200.5, 4.0, 400)])
+def test_expected_value_integrates_to_the_gy_closed_form(sieve_10k, x, h, nodes):
+    """expected_value_E, integrated over alpha in [-1/2h, 1/2h] by Gauss-Legendre,
+    is the oracle of gy_lemma_diagnostic's closed form.
+
+    Tolerance, to first order in U, with c = Lambda - 1 (the same doubles on
+    both sides), A_m = sum_{n <= m} |c_n|, cell widths w_m and tails W_m:
+      - the rule's error (_gauss_error_bound), made negligible by the node
+        count: it is asserted below 1e-30 of the integral;
+      - each E at a node: every prefix P_m is within
+            delta_m = (6 pi |alpha| m + 5) U A_m + sqrt(2) gamma_(m-1) A_m
+                      + 2 pi m U A_m / 2h
+        of the exact one.  The middle term is _prefix_s0's docstring bound
+        (its cumsum), the first its terms' own rounding (the phase
+        2 pi alpha n within 2.4U relative, np.exp and the product by c_n
+        within 3U), the last the node, within U of the true one (numpy's
+        nodes measured within 0.54U; 2h is a power of two, so alpha = t/2h
+        is exact).  So E is within (1/x) sum_m w_m (2|P_m| + delta_m)
+        delta_m + 8U E (hypot, square, fsum, division);
+      - the weights: numpy's leggauss weights at up to 1,300 nodes have
+        sum_j |w~_j - w_j| <= 4,961U, measured against weights from
+        Newton-refined nodes in 64-bit-mantissa long double; 2^14 U times
+        max E is taken;
+      - the closed form: the kernel np.sinc(d/h)/h is within 7U/h of
+        K(d) (the sine's argument within 1.4U, the quotient 4.4U), the
+        convolution within gamma_top of sum |c_i K(m - i)|, the increments
+        and the fsum within 7U, so within (top + 7)U (1/x) sum_m W_m
+        (c_m^2 K(0) + 2|c_m| sum_{i<m} |c_i K(m - i)|)
+        + (14U/h) (1/x) sum_m W_m |c_m| A_(m-1).
+    """
+    m, width = circle._cells(x)
+    top = int(m[-1])
+    c = sieve_10k.values[1 : top + 1] - 1.0
+    mass = np.cumsum(np.abs(c))  # A_m at index m - 1
+    tails = np.cumsum(width[::-1])[::-1]
+    t, weights = np.polynomial.legendre.leggauss(nodes)
+    values, errors = [], []
+    for alpha in (t / (2 * h)).tolist():
+        values.append(expected_value_E(sieve_10k, alpha, x))
+        prefix = np.abs(_prefix_s0(sieve_10k, alpha, top))[m - 1]
+        gamma = (m - 1) * U / (1 - (m - 1) * U)
+        delta = mass[m - 1] * ((6 * math.pi * abs(alpha) * m + 5) * U
+                               + math.sqrt(2) * gamma + 2 * math.pi * m * U / (2 * h))
+        errors.append(math.fsum(((2 * prefix + delta) * delta * width).tolist()) / x
+                      + 8 * U * values[-1])
+    quadrature = math.fsum((weights * values).tolist()) / (2 * h)
+    closed, _ = gy_lemma_diagnostic(sieve_10k, x, h)
+
+    rule = _gauss_error_bound(math.fsum((mass[m - 1] ** 2 * width).tolist()) / x,
+                              top - 1, h, nodes)
+    assert rule <= 1e-30 * closed
+    node_rounding = (math.fsum((weights * errors).tolist()) / (2 * h)
+                     + 2**14 * U * max(values) / (2 * h) + U * quadrature)
+    kernel = np.abs(np.sinc(np.arange(top + 1) / h) / h)
+    cross = np.zeros(top)
+    cross[1:] = np.convolve(np.abs(c), kernel[1:])[: top - 1]
+    tail = np.full(top, tails[0])
+    tail[m[0] - 1 :] = tails
+    below = np.concatenate(([0.0], mass[:-1]))  # A_(m-1)
+    closed_rounding = (
+        (top + 7) * U * math.fsum(((c * c * kernel[0] + 2 * np.abs(c) * cross) * tail).tolist()) / x
+        + 14 * U / h * math.fsum((tail * np.abs(c) * below).tolist()) / x
+    )
+    assert abs(quadrature - closed) <= rule + node_rounding + closed_rounding
+
+
 def test_f_on_grid_matches_f_partial(sieve_10k):
     # (N, M): M = 4N, M = 8N, a prime M (4001, numpy's Bluestein path);
     # terms = 2N as the callers truncate, and terms = M - 1, the most
@@ -308,6 +394,23 @@ def test_f_partial_domain_and_tail(sieve_10k):
     t100 = f_partial(sieve_10k, 0.9, 100).tail_bound
     t1000 = f_partial(sieve_10k, 0.9, 1000).tail_bound
     assert 0 < t1000 < t100
+
+
+NON_FINITE = [complex(math.nan), complex(0.5, math.nan), complex(math.nan, math.nan),
+              complex(math.inf), complex(0.0, -math.inf), complex(math.inf, math.nan)]
+
+
+@pytest.mark.parametrize("z", NON_FINITE, ids=repr)
+def test_f_partial_refuses_a_non_finite_z(sieve_10k, z):
+    # abs(nan) >= 1 is False, so only a guard written as "not < 1" refuses NaN
+    with pytest.raises(ValueError, match="need [|]z[|] < 1"):
+        f_partial(sieve_10k, z, 10)
+
+
+@pytest.mark.parametrize("z", NON_FINITE, ids=repr)
+def test_kernel_refuses_a_non_finite_z(z):
+    with pytest.raises(ValueError, match="need a finite z"):
+        kernel_K(z, 5)
 
 
 def test_kernel_removable_singularity():
@@ -470,16 +573,6 @@ def test_minor_arc_requires_margin(sieve_10k):
     for n in (1, 0, -3):
         with pytest.raises(ValueError, match=f"N = {n}$"):
             minor_arc_l2(sieve_10k, n)
-
-
-def test_fz_identity(sieve_10k):
-    assert fz_powerseries_identity(sieve_10k, 2, 512) <= 1e-9
-    assert fz_powerseries_identity(sieve_10k, 3, 256) <= 1e-9
-
-
-def test_fz_identity_above_oracle_cap(sieve_10k):
-    # the direct side is the convolution ladder, not the capped gk_direct
-    assert fz_powerseries_identity(sieve_10k, 2, 8300) <= 1e-9
 
 
 def test_grid_validation():

@@ -1,4 +1,3 @@
-import io
 import math
 
 import numpy as np
@@ -11,16 +10,17 @@ from goldbachkit import (
     bk_decomposition_check,
     bk_truncated,
     build_mangoldt,
+    fz_powerseries_identity,
     gk_direct,
     gk_fft,
     max_discrepancy,
     riesz_psi_j,
     singular_series,
     sk_prefix,
-    write_goldbach_csv,
 )
 from goldbachkit import goldbach
 from goldbachkit.accum import riesz_integral
+from goldbachkit.cli import main
 from goldbachkit.goldbach import _five_smooth_ceil, gk_fft_length
 
 LOG2 = math.log(2)
@@ -400,11 +400,33 @@ def test_singular_series_large_prime_divisor_included():
     assert with_factor == pytest.approx(without * (1.0 - u), rel=1e-12)
 
 
-def test_csv_dump(sieve_10k):
-    table = gk_direct(sieve_10k, 2, 8)
-    out = io.StringIO()
-    write_goldbach_csv(table, out)
-    lines = out.getvalue().splitlines()
+def test_csv_dump(sieve_10k, capsys):
+    # the table the gk command writes: a self-describing header, then
+    # (n, G_k(n)) from n = k at 17 significant digits
+    assert main(["gk", "--k", "2", "--limit", "8", "--method", "direct"]) == 0
+    lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "# k=2 N=8 method=direct"
     assert lines[1] == "n,value"
     assert lines[2].startswith("2,0")
+    table = gk_direct(sieve_10k, 2, 8)
+    assert lines[2:] == [f"{n},{table.values[n]:.17g}" for n in range(2, 9)]
+
+
+def test_fz_identity(sieve_10k):
+    assert fz_powerseries_identity(sieve_10k, 2, 512) <= 1e-9
+    assert fz_powerseries_identity(sieve_10k, 3, 256) <= 1e-9
+
+
+def test_fz_identity_above_oracle_cap(sieve_10k):
+    # the direct side is the convolution ladder, not the capped gk_direct
+    assert fz_powerseries_identity(sieve_10k, 2, 8300) <= 1e-9
+
+
+@pytest.mark.parametrize("k, n, message", [
+    (1, 100, "need k >= 2, got 1"),
+    (2, 10_001, "table limit 10001 exceeds sieve limit 10000"),
+    (2, 0, "need a positive limit, got 0"),
+])
+def test_fz_identity_arguments_are_checked_by_gk_fft(sieve_10k, k, n, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        fz_powerseries_identity(sieve_10k, k, n)

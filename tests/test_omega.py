@@ -79,8 +79,9 @@ def test_chain_k3_q2(sieve_10k):
         assert lvl.margin > 0.0
         assert lvl.consistency_error <= 5 * U
     assert report.final_lhs > report.final_rhs
-    assert report.max_g >= report.max_g_bound
-    assert report.max_g_bound == max_gk_scan(g3, 200.0, primorial(3)).primorial_bound
+    scan = max_gk_scan(g3, 200.0, primorial(3))
+    assert not scan.fallback_applied and scan.q == report.q
+    assert report.max_g == scan.max_g >= scan.primorial_bound
 
 
 @pytest.mark.parametrize("k, y, x", [(3, 11, 512.0), (2, 13, 2048.0)])
@@ -169,7 +170,7 @@ def test_max_gk_scan_fallback(sieve_10k):
 
 def test_max_gk_scan_small(sieve_10k):
     g2 = gk_direct(sieve_10k, 2, 64)
-    scan = max_gk_scan(g2, 16.0)
+    scan = max_gk_scan(g2, 16.0, primorial(default_cutoff(16.0)))
     assert scan.max_g > 0.0
     assert scan.primorial_bound > 0.0
     assert scan.loglog_reference > 0.0

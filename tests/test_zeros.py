@@ -1,5 +1,6 @@
 import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -33,49 +34,64 @@ GAMMA1 = 14.134725141734694
 GAMMA2 = 21.022039638771555
 
 
-def test_load_two_zeros():
-    table = load_zeros(io.StringIO("14.134725141\n21.022039639\n"))
+def _zero_file(tmp_path, text, name="zeros.txt"):
+    path = tmp_path / name
+    path.write_bytes(text.encode() if isinstance(text, str) else text)
+    return path
+
+
+def test_load_two_zeros(tmp_path):
+    table = load_zeros(_zero_file(tmp_path, "14.134725141\n21.022039639\n"))
     assert len(table) == 2
     assert table.ordinates[0] == 14.134725141
 
 
-def test_load_skips_comments_and_blanks():
-    table = load_zeros(io.StringIO("# comment\n\n14.134725141\n"))
+def test_load_skips_comments_and_blanks(tmp_path):
+    table = load_zeros(_zero_file(tmp_path, "# comment\n\n14.134725141\n"))
     assert len(table) == 1
 
 
-def test_load_from_bytes_stream():
-    table = load_zeros(io.BytesIO(b"14.1\n21.0\n"))
-    assert len(table) == 2
+def test_load_refuses_a_non_ascii_file(tmp_path):
+    with pytest.raises(UnicodeDecodeError):
+        load_zeros(_zero_file(tmp_path, "14.1\n21.0 \u03b3\n"))
+    with pytest.raises(UnicodeDecodeError):
+        load_zeros(_zero_file(tmp_path, b"14.1\n\xff\n"))
 
 
-def test_load_monotonicity_error_carries_line():
+def test_load_takes_a_path_only():
+    # the CLI passes a path, and bundled_zeros parses its resource itself
+    for stream in (io.StringIO("14.1\n"), io.BytesIO(b"14.1\n")):
+        with pytest.raises(TypeError):
+            load_zeros(stream)
+
+
+def test_load_monotonicity_error_carries_line(tmp_path):
     with pytest.raises(ZeroFormatError) as exc:
-        load_zeros(io.StringIO("21.0\n14.1\n"))
+        load_zeros(_zero_file(tmp_path, "21.0\n14.1\n"))
     assert exc.value.line == 2
 
 
 def test_format_error_names_the_file(tmp_path):
-    path = tmp_path / "bad.txt"
-    path.write_text("14.1\nabc\n")
+    path = _zero_file(tmp_path, "14.1\nabc\n", "bad.txt")
     with pytest.raises(ZeroFormatError) as exc:
         load_zeros(path)
     assert exc.value.line == 2
     assert str(exc.value) == f"{path}: line 2: not a decimal ordinate: 'abc'"
-    with pytest.raises(ZeroFormatError, match=r"^<stream>: line 1: ordinate must be positive"):
-        load_zeros(io.StringIO("-3.0\n"))
+    path = _zero_file(tmp_path, "-3.0\n", "negative.txt")
+    with pytest.raises(ZeroFormatError, match=f"^{re.escape(str(path))}: line 1: ordinate must be positive"):
+        load_zeros(path)
 
 
-def test_load_rejects_nonpositive():
+def test_load_rejects_nonpositive(tmp_path):
     with pytest.raises(ZeroFormatError):
-        load_zeros(io.StringIO("-3.0\n"))
+        load_zeros(_zero_file(tmp_path, "-3.0\n"))
     with pytest.raises(ZeroFormatError):
-        load_zeros(io.StringIO("abc\n"))
+        load_zeros(_zero_file(tmp_path, "abc\n"))
 
 
-def test_load_rejects_empty():
+def test_load_rejects_empty(tmp_path):
     with pytest.raises(ValueError):
-        load_zeros(io.StringIO("# nothing here\n"))
+        load_zeros(_zero_file(tmp_path, "# nothing here\n"))
 
 
 def test_bundled_table(zeros100):
