@@ -10,18 +10,30 @@ import functools
 import math
 
 
+# k -> (row, terms): row[i-1] = f_{k,i} for 1 <= i <= len(row), and
+# terms[j] = (-1)^j C(k,j) (k-j)^len(row).  An entry is replaced whole.
+_ROWS: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
+
+
 @functools.cache
 def f_ki(k: int, i: int) -> int:
     """Alternating sum k^i - C(k,1)(k-1)^i + ... + (-1)^(k-1) C(k,k-1) 1^i.
 
-    Vanishes for 1 <= i <= k-1 and equals k! at i = k.  Each value is the
-    closed form, computed once per process: the cache holds one int per
+    Vanishes for 1 <= i <= k-1 and equals k! at i = k.  Each value is read
+    from one closed-form row per k, kept for the process: a step of i
+    multiplies each signed term (-1)^j C(k,j) (k-j)^i by k-j once, so a
+    row of i entries costs k i products.  The cache holds one int per
     distinct (k, i) asked for (625 after run_identity_suite(25)), so the
     identity suite and solve_ak read each f_{k,i} once.
     """
     if k < 1 or i < 1:
         raise ValueError("f_ki requires k >= 1 and i >= 1")
-    return sum((-1) ** j * math.comb(k, j) * (k - j) ** i for j in range(k))
+    row, terms = _ROWS.get(k) or ((), tuple((-1) ** j * math.comb(k, j) for j in range(k)))
+    while len(row) < i:
+        terms = tuple(term * (k - j) for j, term in enumerate(terms))
+        row += (sum(terms),)
+    _ROWS[k] = row, terms
+    return row[i - 1]
 
 
 def verify_fki_recurrence(k: int, i: int) -> bool:
@@ -42,9 +54,9 @@ def solve_ak(k: int) -> list[int]:
     """
     if k < 1:
         raise ValueError("need k >= 1")
-    f = [0] + [f_ki(i, k) for i in range(1, k + 1)]  # f[i] = f_{i,k}
+    g = [0] + [(-1) ** i * f_ki(i, k) for i in range(1, k + 1)]  # g[i] = (-1)^i f_{i,k}
     return [
-        sum((-1) ** (i - j) * math.comb(i, j) * f[i] for i in range(max(j, 1), k + 1))
+        (-1) ** j * sum(math.comb(i, j) * g[i] for i in range(max(j, 1), k + 1))
         for j in range(k + 1)
     ]
 
@@ -71,11 +83,19 @@ def hockey_stick(i: int, m: int) -> tuple[int, int]:
     The run has m+2 terms, ending at top index i+m; the two components are
     equal for every i >= 1, m >= 0.
     """
-    if i < 1 or m < 0:
+    return _hockey_row(i, m)[m]
+
+
+def _hockey_row(i: int, m_max: int) -> list[tuple[int, int]]:
+    """hockey_stick(i, m) for m = 0..m_max, by one running sum over the run."""
+    if i < 1 or m_max < 0:
         raise ValueError("need i >= 1 and m >= 0")
-    lhs = sum(math.comb(i - 1 + t, i - 1) for t in range(m + 2))
-    rhs = math.comb(i + m + 1, i)
-    return lhs, rhs
+    lhs = 1  # C(i-1, i-1)
+    row = []
+    for m in range(m_max + 1):
+        lhs += math.comb(i + m, i - 1)
+        row.append((lhs, math.comb(i + m + 1, i)))
+    return row
 
 
 def run_identity_suite(kmax: int = 25) -> list[tuple[str, bool]]:
@@ -124,9 +144,8 @@ def run_identity_suite(kmax: int = 25) -> list[tuple[str, bool]]:
         "hockey stick",
         all(
             lhs == rhs
-            for lhs, rhs in (
-                hockey_stick(i, m) for i in range(1, kmax + 1) for m in range(0, 26)
-            )
+            for i in range(1, kmax + 1)
+            for lhs, rhs in _hockey_row(i, 25)
         ),
     ))
     return results

@@ -125,6 +125,10 @@ def unit_sumsets(q: int, k: int) -> list[tuple[int, ...]]:
     return [units] + [tuple(range(level % step, q, step)) for level in range(2, k + 1)]
 
 
+# Terms per row chunk of chain_check's gather: 2^20 doubles are 8 MiB per array.
+_CHAIN_CHUNK = 1 << 20
+
+
 def chain_check(table: MangoldtTable, gtables: dict[int, GoldbachTable],
                 x: float, q: int) -> ChainReport:
     """Evaluate every level of the chain inequality and its aggregation.
@@ -136,13 +140,23 @@ def chain_check(table: MangoldtTable, gtables: dict[int, GoldbachTable],
       lhs_L(b) = sum_{n <= 2Lx, n = b (q)} G_L(n)
       mid_L(b) = sum_{(a,q)=1} psi(2x; q, a) * lhs_{L-1}(b - a)
 
-    with lhs_1 the psi progressions themselves.  mid is regrouped over the
-    prime powers m <= 2x coprime to q, sum_m Lambda(m) lhs_{L-1}(b - m);
-    the largest relative gap of the two groupings is consistency_error.
-    Each is one numpy gather and one fsum of terms >= 0 on the same
-    lhs_{L-1}: a mid term carries <= 2u (psi's fsum, the product), a
-    direct term <= u, each fsum <= u, so consistency_error <= 5u to first
-    order (u = 2^-53).  phi(q) is the number of units mod q.
+    with lhs_1 the psi progressions themselves.  The direct grouping of mid
+    weights the same gather by a fold: the prime powers m <= 2x coprime to
+    q, found apart from the class sums, summed into their classes mod q by
+    one fsum per class.  consistency_error is the largest relative gap of
+    the two groupings.  A right fold is the correctly rounded sum of the
+    Lambda(m) that psi's class sum adds, so the weights, products and
+    fsums of both groupings are equal and consistency_error is exactly 0;
+    a wrong fold or class sum shows as a gap, which the tests hold under
+    5u (u = 2^-53).
+
+    The gather prev[(b - a) mod q] over residues x units is formed in row
+    chunks of about _CHAIN_CHUNK = 2^20 terms, so at most three arrays of
+    a chunk's size (8 MiB each) are live; each row is one fsum, as the
+    scalar per-b loop sums it, so min_mid keeps its bits.  A level costs
+    O(|residues| phi(q)) after one O(pi*(2x)) fold, where grouping by
+    prime powers cost O(|residues| pi*(2x)).  phi(q) is the number of
+    units mod q.
     """
     if q < 1:
         raise ValueError(f"need q >= 1, got {q}")
@@ -167,33 +181,36 @@ def chain_check(table: MangoldtTable, gtables: dict[int, GoldbachTable],
     # level 1: psi(2x; q, b) per class b
     m_top = int(math.floor(2 * x))
     psi = prev = _class_sums(table, m_top, q)
-    # the prime powers m <= 2x coprime to q, for the direct grouping of mid
+    psi_units = psi[units]
+    # the direct grouping's weights: Lambda(m) over the prime powers m <= 2x
+    # coprime to q, folded into their classes mod q by one fsum per class
     powers = np.flatnonzero(table.values[: m_top + 1])
     powers = powers[np.gcd(powers, q) == 1]
-    lam = table.values[powers]
-    psi_units = psi[units]
+    powers = powers[np.argsort(powers % q)]
+    ends = np.searchsorted(powers % q, units, side="right")
+    fold = np.array(list(map(exact_sum, np.split(table.values[powers], ends[:-1]))))
+    rows = max(1, _CHAIN_CHUNK // phi_q)
 
     report_levels = []
     for level, residues in zip(range(2, k + 1), sumsets):
         cls = _class_sums(gtables[level], int(math.floor(2 * level * x)), q)
-        mids = []
-        consistency = 0.0
-        for b in residues:
-            mid = exact_sum(psi_units * prev[(b - units) % q])
-            direct = exact_sum(lam * prev[(b - powers) % q])
-            consistency = max(consistency,
-                              abs(mid - direct) / max(abs(mid), abs(direct), 1e-300))
-            mids.append(mid)
+        mids, directs = [], []
+        targets = np.array(residues)
+        for start in range(0, len(targets), rows):
+            gathered = prev[(targets[start : start + rows, None] - units) % q]
+            mids += map(exact_sum, psi_units * gathered)
+            directs += map(exact_sum, fold * gathered)
+        consistency = max(abs(mid - direct) / max(abs(mid), abs(direct), 1e-300)
+                          for mid, direct in zip(mids, directs))
 
         rhs = x**level / (2.0**level * phi_q)
         min_lhs = float(cls[list(residues)].min())
-        min_mid = min(mids)
         report_levels.append(ChainLevel(
             level=level,
             residues=residues,
             rhs=rhs,
             min_lhs=min_lhs,
-            min_mid=min_mid,
+            min_mid=min(mids),
             margin=min_lhs - rhs,
             consistency_error=consistency,
         ))

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -25,6 +26,18 @@ def test_fki_vanishing_and_factorial():
         for i in range(1, k):
             assert f_ki(k, i) == 0
         assert f_ki(k, k) == math.factorial(k)
+
+
+def test_fki_rows_match_closed_form(monkeypatch):
+    # fresh rows; k = 7 cached to i = 5 first, then every (k, i) in shuffled order
+    monkeypatch.setattr(identities, "_ROWS", {})
+    f_ki.cache_clear()
+    assert f_ki(7, 5) == 0
+    pairs = [(k, i) for k in range(1, 41) for i in range(1, 41)]
+    random.Random(24).shuffle(pairs)
+    for k, i in pairs:
+        assert f_ki(k, i) == sum((-1) ** j * math.comb(k, j) * (k - j) ** i for j in range(k))
+    f_ki.cache_clear()
 
 
 def test_fki_recurrence_examples():

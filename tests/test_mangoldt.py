@@ -33,6 +33,15 @@ def test_lambda_values_small():
     assert table.values[97] == math.log(97)
 
 
+def test_log_of_every_prime_to_2_22_is_math_log_of_the_int():
+    # every stored log is math.log of the prime as a Python int, bit for bit;
+    # np.log, or a conversion that rounds the prime first, would differ
+    limit = 1 << 22
+    primes = primes_up_to(limit).tolist()
+    logs = build_mangoldt(limit).values[primes]
+    assert logs.tolist() == [math.log(int(p)) for p in primes]
+
+
 def test_sieve_matches_trial_division(sieve_10k):
     # exact equality: both routes store math.log of the same base prime
     for n in range(1, 10_001):

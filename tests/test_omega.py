@@ -16,6 +16,7 @@ from goldbachkit import (
     progression_bound_check,
     sk_prefix,
 )
+from goldbachkit import omega
 from goldbachkit.omega import EULER_GAMMA, unit_sumsets
 
 LOG2 = math.log(2)
@@ -58,6 +59,13 @@ def test_progression_vacuous_flagged(sieve_10k):
     assert report.vacuous
 
 
+def _scalar_min_mid(table, x, q, residues):
+    """min over b of mid_2(b), one fsum per b over the units, as a loop."""
+    psi = [math.fsum(table.values[a or q : int(2 * x) + 1 : q]) for a in range(q)]
+    units = [a for a in range(q) if math.gcd(a, q) == 1]
+    return min(math.fsum(psi[a] * psi[(b - a) % q] for a in units) for b in residues)
+
+
 def test_chain_k2_q6(sieve_10k):
     g2 = gk_fft(sieve_10k, 2, 2000)
     report = chain_check(sieve_10k, {2: g2}, 500.0, 6)
@@ -66,8 +74,23 @@ def test_chain_k2_q6(sieve_10k):
     assert level.level == 2
     assert level.margin > 0.0
     assert level.min_mid >= level.rhs  # the aggregated middle bound too
+    # the two groupings share one gather, so the loop is what checks its indices
+    assert level.min_mid == _scalar_min_mid(sieve_10k, 500.0, 6, level.residues)
     assert report.final_lhs > report.final_rhs
     assert level.consistency_error <= 5 * U  # the bound chain_check derives
+
+
+@pytest.mark.parametrize("chunk", [1, 2 * 48, 40 * 48 + 7])
+def test_chain_across_row_chunks(sieve_10k, chunk):
+    # q = 210: phi = 48 units and 105 admissible residues, so 3 or more chunks
+    x, q = 1500.0, 210
+    g2 = gk_fft(sieve_10k, 2, 6000)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(omega, "_CHAIN_CHUNK", chunk)
+        (level,) = chain_check(sieve_10k, {2: g2}, x, q).levels
+    assert math.ceil(len(level.residues) / max(1, chunk // 48)) >= 3
+    assert level.min_mid == _scalar_min_mid(sieve_10k, x, q, level.residues)
+    assert level.consistency_error <= 5 * U
 
 
 def test_chain_k3_q2(sieve_10k):
