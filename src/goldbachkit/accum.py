@@ -37,9 +37,13 @@ def exact_sum(values) -> float:
     Accepts any iterable of floats, including numpy arrays.  The result is
     independent of grouping, which is what makes the order-reversal
     determinism guards in the test suite exact rather than approximate.
+    A 1-D native float64 array is read through a memoryview, which yields
+    the same floats one at a time instead of building a list first; any
+    other array goes through tolist().
     """
     if isinstance(values, np.ndarray):
-        values = values.tolist()
+        flat = values.ndim == 1 and values.dtype == np.float64
+        values = memoryview(values) if flat else values.tolist()
     return math.fsum(values)
 
 

@@ -8,10 +8,14 @@ closed-form checks of sum n^k z^n, major/minor arc classification, and the
 Parseval mass of F - 1/(1-z).
 
 F and the kernel are each evaluated two ways: at one point by the oracles
-f_partial (compensated) and kernel_K, and on all M nodes of a circle grid at
-once by _f_on_grid and _kernel_on_grid.  Both grid evaluators are one inverse
-FFT of a coefficient array of length M: Lambda(n) R^n at index n for F, and
-R^(-m) at index M - m for K(z) z = sum_{m <= N} z^(-m).
+f_partial (compensated) and kernel_K, and on a circle grid of M nodes at
+once by _f_on_grid and _kernel_on_grid.  Both have real coefficients, so
+the value at node M - j is the conjugate of the value at node j, and both
+grid evaluators are one real FFT (rfft) of their coefficients, zero-padded
+to M, which gives the half spectrum S_j = sum_m c_m e(-mj/M) at the nodes
+j = 0..floor(M/2): K(z) z = sum_{m <= N} z^(-m) is S with c_m = R^(-m) at
+index m, and F is the conjugate of S with c_n = Lambda(n) R^n.  A caller
+that needs every node mirrors the half once (_mirror).
 
 The arc rows (theta, F and its class per node) are read from an
 ArcClassification by its rows method, so a caller that already holds the
@@ -91,10 +95,14 @@ class ArcClassification(ArrayResult):
         """Rows (theta, Re F, Im F, |F|, arc class) over the grid's 4N nodes.
 
         F is truncated at min(2N, sieve limit), matching the contour-recovery
-        truncation, and evaluated on all nodes by _f_on_grid's inverse FFT.
+        truncation, evaluated on half the nodes by _f_on_grid's real FFT and
+        mirrored once onto the rest.
         """
-        f_values = _f_on_grid(table, self.grid, min(2 * self.grid.n, table.limit))
-        labels = ("major" if major else "minor" for major in self.is_major.tolist())
+        terms = min(2 * self.grid.n, table.limit)
+        f_values = _mirror(_f_on_grid(table, self.grid, terms), self.grid.nodes)
+        labels = ["minor"] * self.grid.nodes
+        for index in np.flatnonzero(self.is_major).tolist():
+            labels[index] = "major"
         columns = (self.grid.thetas, f_values.real, f_values.imag, _modulus(f_values))
         return list(zip(*(column.tolist() for column in columns), labels))
 
@@ -254,19 +262,23 @@ def kernel_K(z: complex, n: int) -> complex:
 
 
 def _kernel_on_grid(grid: CircleGrid) -> np.ndarray:
-    """K(z) z = sum_{m=1}^{N} z^(-m) on all grid nodes, by one inverse FFT.
+    """K(z) z = sum_{m=1}^{N} z^(-m) at nodes j = 0..floor(M/2), by one real FFT.
 
-    z^(-m) at node j is R^(-m) e(-mj/M) = R^(-m) e((M - m)j/M), the inverse
-    DFT's term at index M - m, so the coefficients c_m = R^(-m) sit at
-    indices M - N, ..., M - 1 of a zero array of length M (M >= 4N > N).
-    kernel_K is the pointwise oracle, as f_partial is for _f_on_grid.
+    z^(-m) at node j is R^(-m) e(-mj/M), the forward DFT's term at index m,
+    so with c_m = R^(-m) at indices 1..N (c_0 = 0), zero-padded to M > N,
+    the value at node j is rfft(c)_j.  Node M - j holds its conjugate
+    (_mirror).  kernel_K is the pointwise oracle, as f_partial is for
+    _f_on_grid.
 
     Rounding per node, to first order in U = 2^-53, counting each libm call
     (pow, exp, cos, sin, atan2, hypot) as within one ulp, 2U, against the
     oracle kernel_K(z) z at the rounded node z = grid.z[j], with
     C_0 = sum c_m and C_1 = sum m c_m:
       - the FFT: log2(M) eta sqrt(M) ||c||_2, eta = 8U as in
-        cauchy_psi_recovery (Higham's 2-norm bound, per node);
+        cauchy_psi_recovery (Higham's 2-norm bound for the complex DFT of
+        length M, per node); rfft gives the first floor(M/2) + 1 entries
+        of that DFT by real radix passes, and is held to the same form by
+        test, as the mixed-radix and Bluestein transforms are;
       - the coefficient powers: 2U C_0;
       - the rounded node: the phase 2 pi j/M is formed within 3U relative
         (pi, j/M and their product), at most 6 pi U, and exp and the
@@ -281,26 +293,30 @@ def _kernel_on_grid(grid: CircleGrid) -> np.ndarray:
         R^N / |1 - z^N| <= 1/(e - 1) < 1; the subtractions, the division
         and two products (one by z) add under 20U.
     In all, log2(M) eta sqrt(M) ||c||_2 + nu C_1
-    + ((6 pi + 4)(N + 1) + 22) U C_0.
+    + ((6 pi + 4)(N + 1) + 22) U C_0, at every node of the mirror too: its
+    conjugate is exact, and nu bounds each rounded node on its own.
     """
-    n = grid.n
-    coeffs = np.zeros(grid.nodes)
-    coeffs[grid.nodes - n :] = np.power(grid.radius, -np.arange(n, 0, -1))
-    return np.fft.ifft(coeffs, norm="forward")
+    coeffs = np.power(grid.radius, -np.arange(grid.n + 1))
+    coeffs[0] = 0.0  # the sum starts at m = 1
+    return np.fft.rfft(coeffs, n=grid.nodes)
 
 
 def _f_on_grid(table: MangoldtTable, grid: CircleGrid, terms: int) -> np.ndarray:
-    """F truncated at ``terms`` on all grid nodes, by one inverse FFT.
+    """F truncated at ``terms`` at nodes j = 0..floor(M/2), by one real FFT.
 
     With a_n = Lambda(n) R^n (each power taken on its own, no running
-    product), F(R e(j/M)) = sum_{n <= terms} a_n e(nj/M), which is the
-    unnormalised inverse DFT of a zero-padded to M.  It is exact, with no
-    aliasing, because terms < M; callers truncate at 2N < 4N <= M.  The
+    product), F(R e(j/M)) = sum_{n <= terms} a_n e(nj/M), the conjugate of
+    rfft(a)_j with a zero-padded to M; node M - j holds the conjugate of
+    node j (_mirror).  It is exact, with no aliasing, because terms < M;
+    callers truncate at 2N < 4N <= M.  The conjugate negates Im as
+    0.0 - Im, so an Im that the transform makes exactly 0 (node 0, and
+    node M/2 for even M) stays +0.0 instead of turning to -0.0.  The
     rounding is an FFT's, about U log2(M) times the 2-norm of a, which is
     at most F(R) = sum a_n: a few ulp of F(R), where a running product of
     powers drifts by about ``terms`` ulp.
 
-    Rounding per node, to first order and counted as in _kernel_on_grid,
+    Rounding per node, to first order and counted as in _kernel_on_grid
+    (the real FFT held to the complex DFT's form, the mirror exact),
     against the oracle f_partial at the rounded node z = grid.z[j], with
     F_0 = sum a_n and F_1 = sum n a_n:
       - the FFT: log2(M) eta sqrt(M) ||a||_2, eta = 8U;
@@ -316,7 +332,16 @@ def _f_on_grid(table: MangoldtTable, grid: CircleGrid, terms: int) -> np.ndarray
     if terms >= grid.nodes:
         raise ValueError(f"{terms} terms alias on {grid.nodes} nodes; need terms < nodes")
     coeffs = table.values[: terms + 1] * np.power(grid.radius, np.arange(terms + 1))
-    return np.fft.ifft(coeffs, n=grid.nodes, norm="forward")
+    values = np.fft.rfft(coeffs, n=grid.nodes)
+    np.subtract(0.0, values.imag, out=values.imag)
+    return values
+
+
+def _mirror(half: np.ndarray, nodes: int) -> np.ndarray:
+    """All M node values of a series with real coefficients from its nodes
+    j = 0..floor(M/2): node M - j is the conjugate of node j.  Node 0 and,
+    for even M, node M/2, where Im is 0 by symmetry, are not mirrored."""
+    return np.concatenate((half, half[nodes - len(half) : 0 : -1].conj()))
 
 
 def cauchy_psi_recovery(table: MangoldtTable, n: int,
@@ -326,7 +351,12 @@ def cauchy_psi_recovery(table: MangoldtTable, n: int,
     The contour route integrates F(z) K(z) z dtheta over the uniform grid
     (trapezoid; dz = 2 pi i z dtheta cancels the 1/(2 pi i)).  F is
     truncated at 2N, which the kernel's exponent window makes exact; F and
-    K z both come from one inverse FFT each (_f_on_grid, _kernel_on_grid).
+    K z both come from one real FFT each (_f_on_grid, _kernel_on_grid) on
+    the nodes j = 0..floor(M/2).  Both have real coefficients, so F K z at
+    node M - j is the conjugate of its value at node j, and the mean of
+    Re(F K z) over all M nodes is (1/M) sum_j w_j t_j over the half, with
+    t_j = Re(F_j K_j z_j), w_0 = 1, w_j = 2 for 0 < j < M/2 (the pair j,
+    M - j) and, for even M, w_(M/2) = 1; no full-grid array is built.
     The integrand's exponents lie in (-N, 2N), so the trapezoid rule is
     exact once M >= 4N: the quadrature is sum_{m <= N} a_m c_m with
     a_n = Lambda(n) R^n (n <= 2N) and c_m = R^(-m) (m <= N), and only
@@ -340,20 +370,22 @@ def cauchy_psi_recovery(table: MangoldtTable, n: int,
         compensated psi, and the mean's division by M, add U each: 5U psi(N).
       - Each FFT is within log2(M) eta of its 2-norm, eta = 8U (Higham,
         Accuracy and Stability of Numerical Algorithms, Thm 24.2: eta =
-        mu + gamma_4 (sqrt 2 + mu), about 6.7U for twiddles within mu = U).
-        By Parseval ||F|| = sqrt(M) ||a||_2 and ||K z|| = sqrt(M) ||c||_2,
-        so by Cauchy-Schwarz the mean moves by at most
-        2 log2(M) eta ||a||_2 ||c||_2.
-      - The real part of each product is within 2U |F| |K z|, and numpy's
-        pairwise sum passes each term through at most ceil(log2 M) + 16
-        additions (the halving levels, then base blocks of at most 64 terms
-        in four sequential lanes); sum |F| |K z| <= M ||a||_2 ||c||_2.
+        mu + gamma_4 (sqrt 2 + mu), about 6.7U for twiddles within mu = U),
+        taken over the mirrored grid, where the weights w_j count each of
+        the M nodes once.  By Parseval ||F|| = sqrt(M) ||a||_2 and
+        ||K z|| = sqrt(M) ||c||_2, so by Cauchy-Schwarz the mean moves by
+        at most 2 log2(M) eta ||a||_2 ||c||_2.
+      - The real part of each product is within 2U |F| |K z|, doubling a
+        pair is exact, and numpy's pairwise sum over the floor(M/2) + 1
+        terms passes each through at most ceil(log2 M) + 16 additions (the
+        halving levels, then base blocks of at most 64 terms in four
+        sequential lanes); sum_j w_j |F_j| |K_j z_j| <= M ||a||_2 ||c||_2.
     So |quadrature - psi(N)| is at most about
         (2 log2(M) eta + (ceil(log2 M) + 18) U) ||a||_2 ||c||_2 + 5U psi(N),
     1.1e-13 relative at (N, M) = (6000, 48000) and 1.5e-13 at (2^17, 2^19),
-    where the measured gaps are a few U.  Thm 24.2 is for radix 2; the
-    mixed-radix and, for a prime M, Bluestein transforms are held to the
-    same form by test.
+    where the measured gaps are a few U.  Thm 24.2 is for a complex radix-2
+    transform; the real mixed-radix and, for a prime M, Bluestein
+    transforms are held to the same form by test.
     """
     if table.limit < 2 * n:
         raise ValueError(f"need sieve limit >= 2N = {2 * n}, have {table.limit}")
@@ -364,8 +396,10 @@ def cauchy_psi_recovery(table: MangoldtTable, n: int,
         # is Lambda(1) = 0, so both routes are identically zero
         return 0.0, chebyshev_psi(table, 1.0)
     grid = CircleGrid(n=n, nodes=m_nodes)
-    integrand = _f_on_grid(table, grid, 2 * n) * _kernel_on_grid(grid)
-    quadrature = float(np.mean(integrand).real)
+    f_values, kernel = _f_on_grid(table, grid, 2 * n), _kernel_on_grid(grid)
+    terms = f_values.real * kernel.real - f_values.imag * kernel.imag
+    terms[1 : (m_nodes + 1) // 2] *= 2.0  # the pairs j, M - j
+    quadrature = float(np.sum(terms) / m_nodes)
     coefficient = chebyshev_psi(table, float(n))
     return quadrature, coefficient
 

@@ -272,7 +272,8 @@ def fz_powerseries_identity(table: MangoldtTable, k: int, n: int) -> float:
     worst = max_discrepancy(conv, fft_table.values, scale=scale)
 
     prefix = sk_prefix(fft_table)
-    diffs = np.array([prefix.increment(m) for m in range(1, n + 1)])
+    # increment(m) for m = 1..n: the same two subtractions and one addition
+    diffs = (prefix.hi[1:] - prefix.hi[:-1]) + (prefix.lo[1:] - prefix.lo[:-1])
     worst = max(worst, max_discrepancy(diffs, fft_table.values[1:], scale=scale))
     return worst
 

@@ -140,15 +140,15 @@ def chain_check(table: MangoldtTable, gtables: dict[int, GoldbachTable],
       lhs_L(b) = sum_{n <= 2Lx, n = b (q)} G_L(n)
       mid_L(b) = sum_{(a,q)=1} psi(2x; q, a) * lhs_{L-1}(b - a)
 
-    with lhs_1 the psi progressions themselves.  The direct grouping of mid
-    weights the same gather by a fold: the prime powers m <= 2x coprime to
-    q, found apart from the class sums, summed into their classes mod q by
-    one fsum per class.  consistency_error is the largest relative gap of
-    the two groupings.  A right fold is the correctly rounded sum of the
-    Lambda(m) that psi's class sum adds, so the weights, products and
-    fsums of both groupings are equal and consistency_error is exactly 0;
-    a wrong fold or class sum shows as a gap, which the tests hold under
-    5u (u = 2^-53).
+    with lhs_1 the psi progressions themselves.  consistency_error checks
+    mid's weights psi(2x; q, a) on the units against a fold: the prime
+    powers m <= 2x coprime to q, found apart from the class sums, summed
+    into their classes mod q by one fsum per class.  It is the largest
+    relative gap between the fold and psi on the units, found once in
+    O(phi(q)) and the same at every level.  A right fold is the correctly
+    rounded sum of the Lambda(m) that psi's class sum adds, so it reads
+    exactly 0; a wrong fold or class sum shows as a gap, which the tests
+    hold under 5u (u = 2^-53).
 
     The gather prev[(b - a) mod q] over residues x units is formed in row
     chunks of about _CHAIN_CHUNK = 2^20 terms, so at most three arrays of
@@ -182,26 +182,25 @@ def chain_check(table: MangoldtTable, gtables: dict[int, GoldbachTable],
     m_top = int(math.floor(2 * x))
     psi = prev = _class_sums(table, m_top, q)
     psi_units = psi[units]
-    # the direct grouping's weights: Lambda(m) over the prime powers m <= 2x
-    # coprime to q, folded into their classes mod q by one fsum per class
+    # Lambda(m) over the prime powers m <= 2x coprime to q, folded into
+    # their classes mod q by one fsum per class, against psi on the units;
+    # both are sums of Lambda >= 0
     powers = np.flatnonzero(table.values[: m_top + 1])
     powers = powers[np.gcd(powers, q) == 1]
     powers = powers[np.argsort(powers % q)]
     ends = np.searchsorted(powers % q, units, side="right")
     fold = np.array(list(map(exact_sum, np.split(table.values[powers], ends[:-1]))))
+    consistency = float(np.max(np.abs(fold - psi_units) / np.fmax(fold, psi_units).clip(1e-300)))
     rows = max(1, _CHAIN_CHUNK // phi_q)
 
     report_levels = []
     for level, residues in zip(range(2, k + 1), sumsets):
         cls = _class_sums(gtables[level], int(math.floor(2 * level * x)), q)
-        mids, directs = [], []
+        mids = []
         targets = np.array(residues)
         for start in range(0, len(targets), rows):
             gathered = prev[(targets[start : start + rows, None] - units) % q]
             mids += map(exact_sum, psi_units * gathered)
-            directs += map(exact_sum, fold * gathered)
-        consistency = max(abs(mid - direct) / max(abs(mid), abs(direct), 1e-300)
-                          for mid, direct in zip(mids, directs))
 
         rhs = x**level / (2.0**level * phi_q)
         min_lhs = float(cls[list(residues)].min())

@@ -11,6 +11,7 @@ from goldbachkit import accum
 from goldbachkit.accum import (
     BoundExceeded,
     check_bound,
+    exact_sum,
     riesz_integral,
     running_prefix,
     weighted_power_sum,
@@ -169,3 +170,22 @@ def test_bound_exceeded_carries_value_and_bound():
 def test_nan_never_passes_a_bound(value, bound):
     with pytest.raises(BoundExceeded):
         check_bound("ratio", value, bound)
+
+
+def _read_only(values):
+    values.setflags(write=False)
+    return values
+
+
+@pytest.mark.parametrize("make", [
+    lambda a: a,  # 1-D native float64: read through a memoryview
+    lambda a: a[::3],
+    lambda a: a[::-1],
+    _read_only,
+    lambda a: a.astype(">f8"),  # the rest through tolist()
+    lambda a: a.astype(np.float32),
+], ids=["contiguous", "strided", "reversed", "read-only", "big-endian", "float32"])
+def test_exact_sum_of_an_array_is_fsum_of_its_list(make):
+    rng = np.random.default_rng(5)
+    values = make(rng.standard_normal(40) * 10.0 ** rng.integers(-20, 20, 40))
+    assert exact_sum(values) == math.fsum(values.tolist())

@@ -25,7 +25,7 @@ from goldbachkit import (
     s0_sum,
 )
 from goldbachkit import circle
-from goldbachkit.circle import _f_on_grid, _kernel_on_grid, _prefix_s0
+from goldbachkit.circle import _f_on_grid, _kernel_on_grid, _mirror, _prefix_s0
 
 LOG2 = math.log(2)
 LOG3 = math.log(3)
@@ -277,7 +277,7 @@ def test_f_on_grid_matches_f_partial(sieve_10k):
     for n, nodes, terms in [(100, 400, 200), (100, 800, 200), (1000, 4001, 2000),
                             (100, 400, 399), (300, 1201, 1200)]:
         grid = CircleGrid(n=n, nodes=nodes)
-        values = _f_on_grid(sieve_10k, grid, terms)
+        values = _mirror(_f_on_grid(sieve_10k, grid, terms), nodes)
         f_r = f_partial(sieve_10k, grid.radius, terms).value.real
         # f_partial evaluates at the rounded node z, whose phase is off by
         # a few ulp; z^n multiplies that by n <= terms
@@ -300,7 +300,7 @@ def test_kernel_on_grid_matches_kernel_K():
     eps = np.finfo(float).eps
     for n, nodes in [(100, 400), (100, 800), (1000, 4001)]:
         grid = CircleGrid(n=n, nodes=nodes)
-        values = _kernel_on_grid(grid)
+        values = _mirror(_kernel_on_grid(grid), nodes)
         # |K(z) z| <= sum_m R^(-m), its value at z = R; kernel_K evaluates at
         # the rounded node z, whose phase is off by a few ulp, and z^(-N-1)
         # multiplies that by N + 1
@@ -340,7 +340,7 @@ def test_f_on_grid_within_derived_bound(sieve_10k, drawn, terms_rule):
     # + ((9 pi + 5) F_1 + 11 F_0) U, with a_n = Lambda(n) R^n
     grid, nodes = drawn
     terms = 2 * grid.n if terms_rule == "2N" else grid.nodes - 1
-    values = _f_on_grid(sieve_10k, grid, terms)
+    values = _mirror(_f_on_grid(sieve_10k, grid, terms), grid.nodes)
     index = np.arange(terms + 1)
     a = sieve_10k.values[: terms + 1] * np.power(grid.radius, index)
     f_0, f_1 = float(np.sum(a)), float(np.sum(index * a))
@@ -364,11 +364,39 @@ def test_kernel_on_grid_within_derived_bound(drawn):
     c_0, c_1 = float(np.sum(c)), float(np.sum(m * c))
     bound = (_fft_rounding(grid.nodes, c) + NU * c_1
              + ((6 * math.pi + 4) * (n + 1) + 22) * U * c_0)
-    values = _kernel_on_grid(grid)
+    values = _mirror(_kernel_on_grid(grid), grid.nodes)
     z = grid.z
     for j in nodes:
         node = complex(z[j])
         assert abs(values[j] - kernel_K(node, n) * node) <= bound, (grid, j)
+
+
+# M = 4N and 8N (even: nodes 0 and M/2 are real), and a prime M (odd: only node 0)
+REAL_NODE_GRIDS = [(100, 400), (100, 800), (1000, 4001), (300, 1201), (600, 2400)]
+
+
+@pytest.mark.parametrize("n, nodes", REAL_NODE_GRIDS)
+def test_f_is_plus_zero_imaginary_on_the_real_axis(sieve_10k, n, nodes):
+    # F has real coefficients, so it is real at z = R and, for even M, at
+    # z = -R; the conjugate keeps those Im at +0.0 (a naive one gives -0.0)
+    half = _f_on_grid(sieve_10k, CircleGrid(n=n, nodes=nodes), 2 * n)
+    assert len(half) == nodes // 2 + 1
+    for j in [0, nodes // 2] if nodes % 2 == 0 else [0]:
+        assert half.imag[j] == 0.0 and not np.signbit(half.imag[j]), j
+
+
+@pytest.mark.parametrize("n, nodes", REAL_NODE_GRIDS)
+def test_mirror_is_the_conjugate_bit_for_bit(sieve_10k, n, nodes):
+    grid = CircleGrid(n=n, nodes=nodes)
+    j = np.arange(1, nodes)
+    for half in (_f_on_grid(sieve_10k, grid, 2 * n), _kernel_on_grid(grid)):
+        values = _mirror(half, nodes)
+        assert np.array_equal(values[: len(half)], half)
+        assert np.array_equal(values.real[nodes - j].view(np.uint64),
+                              values.real[j].view(np.uint64))
+        assert np.array_equal(values.imag[nodes - j], -values.imag[j])
+        # and no Im that is exactly 0 reads -0.0 on either half
+        assert not np.any(np.signbit(values.imag) & (values.imag == 0.0))
 
 
 def test_f_partial_values(sieve_10k):

@@ -282,6 +282,19 @@ def test_circle_check(tmp_path, capsys):
     assert lines[1].endswith("major")
 
 
+@pytest.mark.parametrize("n, k", [(64, 2), (600, 2), (300, 3)])
+def test_arc_csv_has_no_negative_zero(tmp_path, capsys, n, k):
+    # F is real at theta = 0 and 1/2, where a naive conjugate prints -0
+    sweep = tmp_path / "arcs.csv"
+    code, _, _ = run_cli(capsys, "circle-check", "--n", str(n), "--k", str(k),
+                         "--arc-csv", str(sweep))
+    assert code == 0
+    rows = [line.split(",") for line in sweep.read_text().splitlines()[1:]]
+    assert len(rows) == 4 * n
+    assert not any(field == "-0" for row in rows for field in row)
+    assert [(rows[j][0], rows[j][2]) for j in (0, 2 * n)] == [("0", "0"), ("0.5", "0")]
+
+
 def test_circle_check_classifies_the_arcs_once(monkeypatch, tmp_path, capsys):
     calls = []
     classify = circle.arc_classify

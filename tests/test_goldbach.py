@@ -417,6 +417,22 @@ def test_fz_identity(sieve_10k):
     assert fz_powerseries_identity(sieve_10k, 3, 256) <= 1e-9
 
 
+def test_fz_identity_differences_are_the_increments(sieve_10k, monkeypatch):
+    # the vectorised first differences are PrefixSums.increment's bits
+    compared = []
+
+    def recorded(a, b, scale):
+        compared.append(a)
+        return max_discrepancy(a, b, scale)
+
+    monkeypatch.setattr(goldbach, "max_discrepancy", recorded)
+    fz_powerseries_identity(sieve_10k, 2, 512)
+    prefix = sk_prefix(gk_fft(sieve_10k, 2, 512))
+    increments = [prefix.increment(m) for m in range(1, 513)]
+    assert np.asarray(compared[1]).view(np.uint64).tolist() == \
+        np.array(increments).view(np.uint64).tolist()
+
+
 def test_fz_identity_above_oracle_cap(sieve_10k):
     # the direct side is the convolution ladder, not the capped gk_direct
     assert fz_powerseries_identity(sieve_10k, 2, 8300) <= 1e-9
