@@ -84,6 +84,10 @@ COMMANDS = [
     # the circle benchmark workload's size: N = 6000, M = 8N
     ("circle-check-workload",
      ["circle-check", "--n", "6000", "--nodes", "48000", "--arc-csv", "arc.csv"], ["arc.csv"]),
+    # delta = 0.99 widens the major arc from the workload's 5 nodes to 23
+    ("circle-check-wide-window",
+     ["circle-check", "--n", "6000", "--k", "2", "--delta", "0.99", "--arc-csv", "arc.csv"],
+     ["arc.csv"]),
     ("omega-scan-k2",
      ["omega-scan", "--k", "2", "--x-grid", "64:1024:2", "--output", "chain.csv",
       "--maxg-output", "maxg.csv"], ["chain.csv", "maxg.csv"]),

@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from goldbachkit import (
@@ -25,7 +25,14 @@ from goldbachkit import (
     s0_sum,
 )
 from goldbachkit import circle
-from goldbachkit.circle import _f_on_grid, _kernel_on_grid, _mirror, _prefix_s0
+from goldbachkit.circle import (
+    _f_on_grid,
+    _kernel_on_grid,
+    _mirror,
+    _modulus,
+    _nodes,
+    _prefix_s0,
+)
 
 LOG2 = math.log(2)
 LOG3 = math.log(3)
@@ -578,6 +585,110 @@ def test_arc_sweep_rows(sieve_10k):
 def test_arc_rows_from_classification(sieve_10k, n, k, delta):
     # the rows depend only on the classification and the table
     assert arc_classify(n, k, delta).rows(sieve_10k) == arc_sweep(sieve_10k, n, k, delta)
+
+
+def _full_grid_flags(cls):
+    """The major-arc test evaluated at every node of the 4N grid."""
+    return _modulus(1.0 - cls.grid.z) < cls.threshold
+
+
+def _assert_full_grid(cls):
+    flags = _full_grid_flags(cls)
+    assert np.array_equal(cls.is_major, flags)
+    assert cls.major_fraction == np.count_nonzero(flags) / cls.grid.nodes
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=2, max_value=2**14), st.integers(min_value=2, max_value=8),
+       st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True))
+def test_arc_window_matches_the_full_grid(n, k, delta):
+    # only the nodes inside the analytic window are evaluated; the rest must
+    # read minor on the full grid too
+    _assert_full_grid(arc_classify(n, k, delta))
+
+
+def _delta_steps(n, k, level, ulps):
+    """The deltas within ``ulps`` ulps of where arc_classify's threshold
+    crosses ``level``: the last delta with threshold <= level comes first."""
+    delta = (k + 1) * (1.0 + math.log(level) / math.log(n))
+    while arc_classify(n, k, delta).threshold > level:
+        delta = math.nextafter(delta, 0.0)
+    while arc_classify(n, k, math.nextafter(delta, 1.0)).threshold <= level:
+        delta = math.nextafter(delta, 1.0)
+    steps = [delta]
+    for direction in (0.0, 1.0):
+        step = delta
+        for _ in range(ulps):
+            step = math.nextafter(step, direction)
+            steps.append(step)
+    return [step for step in steps if 0.0 < step < 1.0]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=8, max_value=2**14), st.integers(min_value=2, max_value=8),
+       st.floats(min_value=0.0, max_value=1.0, exclude_max=True), st.booleans())
+@example(25, 2, 0.0, False)  # a window without the band misses node 1 here
+def test_arc_window_at_a_threshold_on_a_node(n, k, where, mirrored):
+    # the threshold sits on node j's own float |1 - z_j|, then moves a few
+    # ulps either side: node j flips, and every flag still equals the full grid
+    grid = CircleGrid(n=n, nodes=4 * n)
+    lowest, highest = 1.0 / n, float(n) ** (1.0 / (k + 1) - 1.0)
+    reach = 0
+    while abs(1.0 - grid.radius * cmath.exp(2j * math.pi * (reach + 1) / grid.nodes)) < highest:
+        reach += 1
+    assume(reach >= 1)
+    j = 1 + int(where * reach)
+    j = grid.nodes - j if mirrored else j
+    level = float(_modulus(1.0 - _nodes(grid.radius, np.array([j]), grid.nodes))[0])
+    assume(lowest < level < highest)
+    seen = set()
+    for delta in _delta_steps(n, k, level, 4):
+        cls = arc_classify(n, k, delta)
+        _assert_full_grid(cls)
+        seen.add(bool(cls.is_major[j]))
+    assert seen == {False, True}
+
+
+@pytest.mark.parametrize("n", [2**18, 2**20])
+def test_arc_window_matches_the_full_grid_at_large_n(n):
+    for k, delta in [(2, 0.5), (2, 0.99), (5, 0.1)]:
+        _assert_full_grid(arc_classify(n, k, delta))
+
+
+@pytest.mark.parametrize("n,k,delta", [(6000, 2, 0.5), (6000, 2, 0.99), (2**18, 2, 0.5),
+                                       (997, 8, 0.3)])
+def test_window_nodes_are_the_grid_nodes_bit_for_bit(n, k, delta):
+    cls = arc_classify(n, k, delta)
+    grid = cls.grid
+    z = grid.z
+    major = np.flatnonzero(cls.is_major)
+    reach = int(np.max(np.minimum(major, grid.nodes - major)))
+    rng = np.random.default_rng(n)
+    for indices in (np.concatenate((np.arange(reach + 2), np.arange(grid.nodes - reach - 1,
+                                                                       grid.nodes))),
+                    major, np.array([grid.nodes - 1]), rng.integers(0, grid.nodes, 37)):
+        assert _nodes(grid.radius, indices, grid.nodes).tobytes() == z[indices].tobytes()
+
+
+def test_arc_measure_at_the_edges_of_delta():
+    # N = 2 with delta near 1: the widest arc any input gives, far below the circle
+    cls = arc_classify(2, 2, math.nextafter(1.0, 0.0))
+    gap = 1.0 - cls.grid.radius
+    s2 = (cls.threshold**2 - gap**2) / (4.0 * cls.grid.radius)
+    assert s2 < 0.2
+    assert cls.analytic_measure == 2.0 * math.asin(math.sqrt(s2)) / math.pi
+    assert 0.17 < cls.analytic_measure < 0.18
+    _assert_full_grid(cls)
+    # a tiny delta: at N = 2, 4, 9 rounding puts the threshold on or below
+    # 1 - R (no arc, no major node), at N = 3 and 6000 just above it, where
+    # only node 0, at distance 1 - R, is major
+    for n, below in [(2, True), (4, True), (9, True), (3, False), (6000, False)]:
+        cls = arc_classify(n, 2, 5e-324)
+        assert (cls.threshold <= 1.0 - cls.grid.radius) == below
+        assert (cls.analytic_measure == 0.0) == below
+        assert cls.analytic_measure < 1e-8
+        assert np.flatnonzero(cls.is_major).tolist() == ([] if below else [0])
+        _assert_full_grid(cls)
 
 
 def test_minor_arc_l2_band(sieve_10k, calibration):

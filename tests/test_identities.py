@@ -130,3 +130,46 @@ def test_suite_reads_each_fki_once():
     assert all(ok for _, ok in rows)
     # one closed form per distinct (k, i), 1 <= k, i <= 25
     assert f_ki.cache_info().misses == 625
+
+
+def _failing_rows():
+    return [name for name, ok in run_identity_suite(25) if not ok]
+
+
+@pytest.mark.parametrize("i,m", [(1, 0), (1, 25), (25, 0), (25, 25)])
+def test_suite_hockey_row_reaches_each_corner(monkeypatch, i, m):
+    # every checked identity holds, so a row cut to a subset of its range
+    # would still pass; one false pair planted at a corner of the row's
+    # (i, m) range must show
+    real = identities._hockey_row
+
+    def planted(row_i, m_max):
+        row = real(row_i, m_max)
+        if row_i == i and m_max >= m:
+            lhs, rhs = row[m]
+            row[m] = (lhs + 1, rhs)
+        return row
+
+    monkeypatch.setattr(identities, "_hockey_row", planted)
+    assert _failing_rows() == ["hockey stick"]
+
+
+class _OneWrongComb:
+    """The math module with one binomial coefficient off by one."""
+
+    def __init__(self, wrong):
+        self.wrong = wrong
+
+    def __getattr__(self, name):
+        return getattr(math, name)
+
+    def comb(self, n, k):
+        return math.comb(n, k) + ((n, k) == self.wrong)
+
+
+def test_suite_ak_extension_reaches_its_last_n(monkeypatch):
+    # the extension checks sum_j C(n+j, j) a_j = n^k up to n = k + 5; C(55, 25)
+    # enters only at its far corner, k = 25, n = 30, j = 25, so that term
+    # alone is made false
+    monkeypatch.setattr(identities, "math", _OneWrongComb((55, 25)))
+    assert _failing_rows() == ["a_k = k! with extension"]
