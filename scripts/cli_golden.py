@@ -104,10 +104,12 @@ COMMANDS = [
     ("omega-scan-k3-y13",
      ["omega-scan", "--k", "3", "--x-grid", "64:1024:2", "--y", "13", "--output", "chain.csv",
       "--maxg-output", "maxg.csv"], ["chain.csv", "maxg.csv"]),
-    # q = 2310 < 2x: every class holds entries, so both groupings of the chain are populated
+    # q = 2310 < 2x: every class of the chain holds entries
     ("omega-scan-k2-y13",
      ["omega-scan", "--k", "2", "--x-grid", "2048:4096:2", "--y", "13", "--output", "chain.csv",
       "--maxg-output", "maxg.csv"], ["chain.csv", "maxg.csv"]),
+    # x = 10^6: the default cutoff gives q = 30030, the largest modulus of the set
+    ("omega-scan-k2-1e6", ["omega-scan", "--k", "2", "--x-grid", "1000000:1000000:2"], []),
     ("identities", ["identities", "--kmax", "25"], []),
     ("singular-series-k2", ["singular-series", "--k", "2", "--n", "30030"], []),
     ("singular-series-k3-file",

@@ -41,7 +41,6 @@ from .identities import (
     alternating_sums,
     derivative_alternating_sum,
     f_ki,
-    hockey_stick,
     run_identity_suite,
     solve_ak,
     verify_fki_recurrence,

@@ -7,8 +7,9 @@ as ``level=... op=... msg=...``.
 
 ``-`` is stdout for every output flag; ``gk --method both`` prints both
 tables there.  An empty path is a flag error for every path flag, and so is
-an output path that is a directory or lies in a missing one, all refused
-before any work; so is an output file that still cannot be opened.
+an output path that is a directory or lies in a missing one, and so are two
+path flags that name one file, all refused before any work; so is an output
+file that still cannot be opened.
 
 Exit codes: 0 success, 1 validation error (bad flags, a zero file that cannot
 be read or parsed, grid out of range), 2 computation error.
@@ -51,14 +52,26 @@ def _check_path_flags(args) -> None:
 
     An empty path names no file.  An output path may not be a directory
     (``gk --method both`` takes it as a prefix, so only its directory is
-    checked there) and its directory must exist.
+    checked there) and its directory must exist.  No two paths may resolve
+    to one file, counting the zero table that GOLDBACHKIT_ZEROS names: the
+    later write would destroy the earlier output, or the input.  ``-`` on
+    an output flag is stdout, not a file.
     """
-    for flag in ("output", "maxg_output", "arc_csv", "zeros"):
+    named = {}  # realpath -> the flag that named it
+    if "zeros" in vars(args) and args.zeros is None and (env := os.environ.get(ZEROS_ENV_VAR)):
+        named[os.path.realpath(env)] = ZEROS_ENV_VAR
+    for flag in ("zeros", "output", "maxg_output", "arc_csv"):
         path = getattr(args, flag, None)
         name = f"--{flag.replace('_', '-')}"
         if path == "":
             raise CliError(f"{name} needs a file name, got an empty string")
-        if path in (None, "-") or flag == "zeros":
+        if path is None or (path == "-" and flag != "zeros"):
+            continue
+        real = os.path.realpath(path)
+        if real in named:
+            raise CliError(f"{named[real]} and {name} name one file, {path!r}")
+        named[real] = name
+        if flag == "zeros":
             continue
         if os.path.isdir(path) and getattr(args, "method", None) != "both":
             raise CliError(f"{name} {path!r} is a directory")

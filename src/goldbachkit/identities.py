@@ -77,17 +77,13 @@ def derivative_alternating_sum(k: int) -> int:
     return sum((-1) ** j * j * math.comb(k, j) for j in range(k + 1))
 
 
-def hockey_stick(i: int, m: int) -> tuple[int, int]:
-    """(C(i-1,i-1) + C(i,i-1) + ... + C(i+m,i-1), C(i+m+1,i)), both exact.
-
-    The run has m+2 terms, ending at top index i+m; the two components are
-    equal for every i >= 1, m >= 0.
-    """
-    return _hockey_row(i, m)[m]
-
-
 def _hockey_row(i: int, m_max: int) -> list[tuple[int, int]]:
-    """hockey_stick(i, m) for m = 0..m_max, by one running sum over the run."""
+    """(C(i-1,i-1) + C(i,i-1) + ... + C(i+m,i-1), C(i+m+1,i)) for m = 0..m_max.
+
+    Entry m is the hockey-stick identity's run of m+2 terms, ending at top
+    index i+m, beside its closed form; the two components are equal for
+    every i >= 1, m >= 0.  One running sum over the run gives the row.
+    """
     if i < 1 or m_max < 0:
         raise ValueError("need i >= 1 and m >= 0")
     lhs = 1  # C(i-1, i-1)

@@ -45,10 +45,6 @@ class ProgressionRow:
     psi_value: float
     bound: float
 
-    @property
-    def ratio(self) -> float:
-        return self.psi_value / self.bound if self.bound else math.inf
-
 
 @dataclass(frozen=True)
 class ProgressionReport:
@@ -57,10 +53,6 @@ class ProgressionReport:
     phi_q: int
     rows: tuple[ProgressionRow, ...]
     vacuous: bool  # q >= 2x: classes mostly empty, bound not meaningful
-
-    @property
-    def min_ratio(self) -> float:
-        return min(row.ratio for row in self.rows)
 
 
 def progression_bound_check(table: MangoldtTable, x: float, q: int) -> ProgressionReport:
@@ -80,10 +72,8 @@ def progression_bound_check(table: MangoldtTable, x: float, q: int) -> Progressi
 @dataclass(frozen=True)
 class ChainLevel:
     level: int
-    residues: tuple[int, ...]
     rhs: float
     min_lhs: float
-    min_mid: float
     margin: float
     consistency_error: float
 
@@ -125,38 +115,31 @@ def unit_sumsets(q: int, k: int) -> list[tuple[int, ...]]:
     return [units] + [tuple(range(level % step, q, step)) for level in range(2, k + 1)]
 
 
-# Terms per row chunk of chain_check's gather: 2^20 doubles are 8 MiB per array.
-_CHAIN_CHUNK = 1 << 20
-
-
 def chain_check(table: MangoldtTable, gtables: dict[int, GoldbachTable],
                 x: float, q: int) -> ChainReport:
     """Evaluate every level of the chain inequality and its aggregation.
 
     gtables maps level L (2..k) to a G_L table with limit >= 2Lx.  At each
-    level, for every admissible residue b (a sum of L units mod q; other
-    classes cannot carry L-fold progression mass):
+    level, over the admissible residues b (sums of L units mod q; other
+    classes cannot carry L-fold progression mass), min_lhs is the least of
 
-      lhs_L(b) = sum_{n <= 2Lx, n = b (q)} G_L(n)
-      mid_L(b) = sum_{(a,q)=1} psi(2x; q, a) * lhs_{L-1}(b - a)
+      lhs_L(b) = sum_{n <= 2Lx, n = b (q)} G_L(n),
 
-    with lhs_1 the psi progressions themselves.  consistency_error checks
-    mid's weights psi(2x; q, a) on the units against a fold: the prime
-    powers m <= 2x coprime to q, found apart from the class sums, summed
-    into their classes mod q by one fsum per class.  It is the largest
-    relative gap between the fold and psi on the units, found once in
+    compared with rhs = x^L / (2^L phi(q)); phi(q) is the number of units
+    mod q.  The final level's class 0 is the sum over the multiples of q.
+
+    consistency_error checks the one class-sum routine that every lhs_L
+    goes through.  The prime powers m <= 2x coprime to q, found apart from
+    the class sums, are summed into their classes mod q by one fsum per
+    class, and compared with psi(2x; q, a) from the class sums on the units
+    a.  It is the largest relative gap between the two, found once in
     O(phi(q)) and the same at every level.  A right fold is the correctly
     rounded sum of the Lambda(m) that psi's class sum adds, so it reads
     exactly 0; a wrong fold or class sum shows as a gap, which the tests
     hold under 5u (u = 2^-53).
 
-    The gather prev[(b - a) mod q] over residues x units is formed in row
-    chunks of about _CHAIN_CHUNK = 2^20 terms, so at most three arrays of
-    a chunk's size (8 MiB each) are live; each row is one fsum, as the
-    scalar per-b loop sums it, so min_mid keeps its bits.  A level costs
-    O(|residues| phi(q)) after one O(pi*(2x)) fold, where grouping by
-    prime powers cost O(|residues| pi*(2x)).  phi(q) is the number of
-    units mod q.
+    Past that one O(pi*(2x)) fold, each level costs one class sum: one
+    fsum per class over the G_L table up to 2Lx.
     """
     if q < 1:
         raise ValueError(f"need q >= 1, got {q}")
@@ -178,45 +161,33 @@ def chain_check(table: MangoldtTable, gtables: dict[int, GoldbachTable],
     coprime, *sumsets = unit_sumsets(q, k)
     phi_q = len(coprime)
     units = np.array(coprime)
-    # level 1: psi(2x; q, b) per class b
+    # psi(2x; q, a) on the units, against Lambda(m) over the prime powers
+    # m <= 2x coprime to q, folded into their classes mod q by one fsum per
+    # class; both are sums of Lambda >= 0
     m_top = int(math.floor(2 * x))
-    psi = prev = _class_sums(table, m_top, q)
-    psi_units = psi[units]
-    # Lambda(m) over the prime powers m <= 2x coprime to q, folded into
-    # their classes mod q by one fsum per class, against psi on the units;
-    # both are sums of Lambda >= 0
+    psi_units = _class_sums(table, m_top, q)[units]
     powers = np.flatnonzero(table.values[: m_top + 1])
     powers = powers[np.gcd(powers, q) == 1]
     powers = powers[np.argsort(powers % q)]
     ends = np.searchsorted(powers % q, units, side="right")
     fold = np.array(list(map(exact_sum, np.split(table.values[powers], ends[:-1]))))
     consistency = float(np.max(np.abs(fold - psi_units) / np.fmax(fold, psi_units).clip(1e-300)))
-    rows = max(1, _CHAIN_CHUNK // phi_q)
 
     report_levels = []
     for level, residues in zip(range(2, k + 1), sumsets):
         cls = _class_sums(gtables[level], int(math.floor(2 * level * x)), q)
-        mids = []
-        targets = np.array(residues)
-        for start in range(0, len(targets), rows):
-            gathered = prev[(targets[start : start + rows, None] - units) % q]
-            mids += map(exact_sum, psi_units * gathered)
-
         rhs = x**level / (2.0**level * phi_q)
         min_lhs = float(cls[list(residues)].min())
         report_levels.append(ChainLevel(
             level=level,
-            residues=residues,
             rhs=rhs,
             min_lhs=min_lhs,
-            min_mid=min(mids),
             margin=min_lhs - rhs,
             consistency_error=consistency,
         ))
-        prev = cls
 
     # the last level's class 0: the multiples of q up to 2kx
-    final_lhs = float(prev[0])
+    final_lhs = float(cls[0])
     final_rhs = x**k / (2.0**k * phi_q)
     max_g = float(np.max(gtables[k].values[: int(math.floor(2 * k * x)) + 1]))
     return ChainReport(

@@ -482,6 +482,60 @@ def test_unusable_output_path_is_a_flag_error(monkeypatch, tmp_path, capsys, arg
     assert list((tmp_path / "out").iterdir()) == []
 
 
+# (argv before the second path, the flag that named the file first, the second flag)
+SHARED_PATH_COMMANDS = {
+    "omega-scan": (("omega-scan", "--x-grid", "64:128:2", "--output", "same.csv",
+                    "--maxg-output"), "--output", "--maxg-output"),
+    "circle-check": (("circle-check", "--n", "16", "--output", "same.csv", "--arc-csv"),
+                     "--output", "--arc-csv"),
+    "residual": (("residual", "--k", "2", "--limit", "64", "--grid", "8:64:2",
+                  "--zeros", "same.csv", "--output"), "--zeros", "--output"),
+    "residual-env": (("residual", "--k", "2", "--limit", "64", "--grid", "8:64:2",
+                      "--output"), "GOLDBACHKIT_ZEROS", "--output"),
+}
+
+
+@pytest.mark.parametrize("second", ["same.csv", "./same.csv"])
+@pytest.mark.parametrize("command", SHARED_PATH_COMMANDS)
+def test_two_paths_that_name_one_file_are_a_flag_error(monkeypatch, tmp_path, capsys,
+                                                       command, second):
+    def refuse(*args, **kwargs):
+        raise MemoryError("sieved before checking the paths")
+
+    monkeypatch.setattr(mangoldt, "build_mangoldt", refuse)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("GOLDBACHKIT_ZEROS", "same.csv" if command == "residual-env" else "")
+    before = "14.134725141734693\n"  # a zero table, which the residual cases read
+    (tmp_path / "same.csv").write_text(before)
+    argv, first, flag = SHARED_PATH_COMMANDS[command]
+    code, out, err = run_cli(capsys, *argv, second)
+    assert code == 1
+    assert out == ""
+    assert err.splitlines() == [
+        f"level=error op={argv[0]} msg={first} and {flag} name one file, {second!r}"
+    ]
+    assert [p.name for p in tmp_path.iterdir()] == ["same.csv"]
+    assert (tmp_path / "same.csv").read_text() == before
+
+
+def test_paths_that_differ_or_write_stdout_may_share_a_command(monkeypatch, tmp_path, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "z.txt").write_text("14.134725141734693\n")
+    # two output flags on stdout
+    code, out, _ = run_cli(capsys, "omega-scan", "--x-grid", "64:64:2",
+                           "--output", "-", "--maxg-output", "-")
+    assert code == 0
+    assert out.splitlines()[0] == "x,q,phi_q,level,min_lhs,rhs,margin"
+    assert "x,q,maxG,bound,loglog_ref" in out.splitlines()
+    # --zeros overrides the environment, so the environment's file is not read
+    monkeypatch.setenv("GOLDBACHKIT_ZEROS", "res.csv")
+    code, _, _ = run_cli(capsys, "residual", "--k", "2", "--limit", "64", "--grid", "8:64:2",
+                         "--zeros", "z.txt", "--output", "res.csv")
+    assert code == 0
+    assert (tmp_path / "res.csv").read_text().startswith("X,")
+    assert (tmp_path / "z.txt").read_text() == "14.134725141734693\n"
+
+
 def test_gk_both_prefix_may_name_a_directory(monkeypatch, tmp_path, capsys):
     # --method both writes <prefix>.direct.csv and <prefix>.fft.csv
     monkeypatch.chdir(tmp_path)

@@ -8,7 +8,6 @@ from goldbachkit import (
     alternating_sums,
     derivative_alternating_sum,
     f_ki,
-    hockey_stick,
     run_identity_suite,
     solve_ak,
     verify_fki_recurrence,
@@ -91,18 +90,18 @@ def test_alternating_sums():
 
 
 def test_hockey_stick_examples():
-    assert hockey_stick(2, 1) == (6, 6)
+    assert identities._hockey_row(2, 1)[1] == (6, 6)
     # boundary: the run C(i-1,i-1) ... C(i+m,i-1) has m+2 terms
-    assert hockey_stick(1, 0) == (2, 2)
-    lhs, rhs = hockey_stick(5, 20)
-    assert lhs == rhs
+    assert identities._hockey_row(1, 0)[0] == (2, 2)
+    lhs, rhs = identities._hockey_row(5, 20)[20]
+    assert lhs == rhs == math.comb(26, 5)
 
 
 def test_hockey_stick_grid():
     for i in range(1, 26):
         for m in range(0, 26):
-            lhs, rhs = hockey_stick(i, m)
-            assert lhs == rhs
+            lhs, rhs = identities._hockey_row(i, m)[m]
+            assert lhs == rhs == sum(math.comb(t, i - 1) for t in range(i - 1, i + m + 1))
 
 
 def test_validation_errors():
@@ -113,7 +112,7 @@ def test_validation_errors():
     with pytest.raises(ValueError):
         solve_ak(0)
     with pytest.raises(ValueError):
-        hockey_stick(0, 0)
+        identities._hockey_row(0, 0)
     for kmax in (0, 1):
         with pytest.raises(ValueError):
             run_identity_suite(kmax)

@@ -16,7 +16,6 @@ from goldbachkit import (
     progression_bound_check,
     sk_prefix,
 )
-from goldbachkit import omega
 from goldbachkit.omega import EULER_GAMMA, unit_sumsets
 
 LOG2 = math.log(2)
@@ -41,8 +40,7 @@ def test_progression_q6(sieve_10k):
     report = progression_bound_check(sieve_10k, 1000.0, 6)
     residues = sorted(r.residue for r in report.rows)
     assert residues == [1, 5]
-    assert report.min_ratio >= 1.0
-    assert all(r.psi_value >= 250.0 for r in report.rows)
+    assert all(r.bound == 250.0 <= r.psi_value for r in report.rows)
 
 
 def test_progression_q1(sieve_10k):
@@ -59,38 +57,40 @@ def test_progression_vacuous_flagged(sieve_10k):
     assert report.vacuous
 
 
-def _scalar_min_mid(table, x, q, residues):
-    """min over b of mid_2(b), one fsum per b over the units, as a loop."""
-    psi = [math.fsum(table.values[a or q : int(2 * x) + 1 : q]) for a in range(q)]
+def _class_fsums(table, top, q):
+    """sum_{n <= top, n = b (q)} of the table's values for b = 0..q-1, one fsum each."""
+    return [math.fsum(table.values[b or q : top + 1 : q]) for b in range(q)]
+
+
+def _mids(psi, prev, q, residues):
+    """mid_L(b) = sum_{(a,q)=1} psi(2x; q, a) lhs_{L-1}(b - a) for each b, one fsum each.
+
+    mid_L(b) sums the pairs Lambda(m) G_{L-1}(n) with m <= 2x coprime to q,
+    n <= 2(L-1)x and m + n = b (q): a subset of the nonnegative pairs that
+    lhs_L(b) sums, so lhs_L(b) >= mid_L(b) for every b.
+    """
     units = [a for a in range(q) if math.gcd(a, q) == 1]
-    return min(math.fsum(psi[a] * psi[(b - a) % q] for a in units) for b in residues)
+    return {b: math.fsum(psi[a] * prev[(b - a) % q] for a in units) for b in residues}
 
 
 def test_chain_k2_q6(sieve_10k):
+    x, q = 500.0, 6
     g2 = gk_fft(sieve_10k, 2, 2000)
-    report = chain_check(sieve_10k, {2: g2}, 500.0, 6)
+    report = chain_check(sieve_10k, {2: g2}, x, q)
     assert report.phi_q == 2
     (level,) = report.levels
     assert level.level == 2
     assert level.margin > 0.0
-    assert level.min_mid >= level.rhs  # the aggregated middle bound too
-    # the two groupings share one gather, so the loop is what checks its indices
-    assert level.min_mid == _scalar_min_mid(sieve_10k, 500.0, 6, level.residues)
-    assert report.final_lhs > report.final_rhs
+    residues = unit_sumsets(q, 2)[1]
+    assert residues == (0, 2, 4)
+    psi = _class_fsums(sieve_10k, int(2 * x), q)
+    cls = _class_fsums(g2, int(4 * x), q)
+    assert level.min_lhs == min(cls[b] for b in residues)
+    mids = _mids(psi, psi, q, residues)
+    assert all(cls[b] >= mids[b] for b in residues)
+    assert min(mids.values()) >= level.rhs  # the aggregated middle bound too
+    assert report.final_lhs == cls[0] > report.final_rhs
     assert level.consistency_error <= 5 * U  # the bound chain_check derives
-
-
-@pytest.mark.parametrize("chunk", [1, 2 * 48, 40 * 48 + 7])
-def test_chain_across_row_chunks(sieve_10k, chunk):
-    # q = 210: phi = 48 units and 105 admissible residues, so 3 or more chunks
-    x, q = 1500.0, 210
-    g2 = gk_fft(sieve_10k, 2, 6000)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(omega, "_CHAIN_CHUNK", chunk)
-        (level,) = chain_check(sieve_10k, {2: g2}, x, q).levels
-    assert math.ceil(len(level.residues) / max(1, chunk // 48)) >= 3
-    assert level.min_mid == _scalar_min_mid(sieve_10k, x, q, level.residues)
-    assert level.consistency_error <= 5 * U
 
 
 def test_chain_k3_q2(sieve_10k):
@@ -115,20 +115,16 @@ def test_chain_populated_classes(sieve_10k, k, y, x):
     gtables = {level: gk_fft(sieve_10k, level, int(2 * level * x)) for level in range(2, k + 1)}
     report = chain_check(sieve_10k, gtables, x, q)
     assert report.phi_q == prim.phi
-    psi = [math.fsum(sieve_10k.values[a or q : int(2 * x) + 1 : q]) for a in range(q)]
-    units = [a for a in range(q) if math.gcd(a, q) == 1]
+    psi = _class_fsums(sieve_10k, int(2 * x), q)
     prev = psi
     for level, lvl in zip(range(2, k + 1), report.levels):
-        assert lvl.residues == unit_sumsets(q, k)[level - 1]
-        cls = [math.fsum(gtables[level].values[b or q : int(2 * level * x) + 1 : q])
-               for b in range(q)]
-        assert all(cls[b] > 0.0 for b in lvl.residues)
-        assert lvl.min_lhs == min(cls[b] for b in lvl.residues)
-        # the scalar loop forms the same products, and fsum is correctly rounded
-        mids = [math.fsum(psi[a] * prev[(b - a) % q] for a in units) for b in lvl.residues]
-        assert lvl.min_mid == min(mids)
+        residues = unit_sumsets(q, k)[level - 1]
+        cls = _class_fsums(gtables[level], int(2 * level * x), q)
+        assert all(cls[b] > 0.0 for b in residues)
+        assert lvl.min_lhs == min(cls[b] for b in residues)
         # mid_L(b) counts a subset of the compositions lhs_L(b) counts
-        assert lvl.min_mid <= lvl.min_lhs
+        mids = _mids(psi, prev, q, residues)
+        assert all(cls[b] >= mids[b] for b in residues)
         assert lvl.consistency_error <= 5 * U
         prev = cls
     assert report.final_lhs == prev[0]
@@ -138,7 +134,8 @@ def test_chain_populated_classes(sieve_10k, k, y, x):
 @given(k=st.sampled_from([2, 3]), x=st.floats(8.0, 1500.0),
        y=st.sampled_from([3, 5, 7, 11, 13]))
 def test_chain_consistency_within_derived_bound(sieve_10k, k, x, y):
-    # the two groupings of mid agree to the 5u that chain_check derives
+    # the fold of the prime powers and psi's class sums agree to the 5u
+    # that chain_check derives
     q = primorial(y).value
     gtables = {level: gk_fft(sieve_10k, level, int(2 * level * x)) for level in range(2, k + 1)}
     report = chain_check(sieve_10k, gtables, x, q)

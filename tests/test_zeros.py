@@ -22,6 +22,7 @@ from goldbachkit import (
     sk_prefix,
     write_residual_csv,
 )
+from goldbachkit import zeros
 from goldbachkit.zeros import (
     ZETA_LOGDERIV_0,
     ZETA_LOGDERIV_M1,
@@ -109,6 +110,25 @@ def test_hk_single_zero_matches_complex_arithmetic():
     expected = -2.0 * 2.0 * (x ** (rho + 1) / (rho * (rho + 1))).real
     value, _ = hk_zero_sum(table, 2, x)
     assert value == pytest.approx(expected, rel=1e-12)
+
+
+def test_hk_bound_is_tight_for_one_zero(monkeypatch):
+    # with gamma_1 alone at k = 2, |H_2(X)| / bound is gamma^2 / |rho (rho + 1)|
+    # = 0.9938 times |cos(gamma log X - arg rho (rho + 1))|, whose phase sweeps
+    # past 0 below X = 5000; a bound loosened tenfold would read at most 0.0994
+    ratios = []
+    check_bound = zeros.check_bound
+
+    def spy(what, value, bound):
+        ratios.append(value / bound)
+        check_bound(what, value, bound)
+
+    monkeypatch.setattr(zeros, "check_bound", spy)
+    table = ZeroTable(ordinates=np.array([14.134725141734693]), source="gamma_1")
+    for x in range(2, 5000):
+        hk_zero_sum(table, 2, float(x))
+    assert len(ratios) == 4998
+    assert 0.99 <= max(ratios) <= 1.0
 
 
 def test_hk_empty_table_errors():
