@@ -104,6 +104,8 @@ COMMANDS = [
     ("omega-scan-k3-y13",
      ["omega-scan", "--k", "3", "--x-grid", "64:1024:2", "--y", "13", "--output", "chain.csv",
       "--maxg-output", "maxg.csv"], ["chain.csv", "maxg.csv"]),
+    # odd k with q = 210 < 2x: the final row's class 0 is no sum of 3 units, its margin negative
+    ("omega-scan-k3-1e4", ["omega-scan", "--k", "3", "--x-grid", "10000:10000:2"], []),
     # q = 2310 < 2x: every class of the chain holds entries
     ("omega-scan-k2-y13",
      ["omega-scan", "--k", "2", "--x-grid", "2048:4096:2", "--y", "13", "--output", "chain.csv",

@@ -11,6 +11,11 @@ an output path that is a directory or lies in a missing one, and so are two
 path flags that name one file, all refused before any work; so is an output
 file that still cannot be opened.
 
+A rule that reads one flag is that flag's argparse ``type`` in
+``build_parser``, so the parser refuses the value before any work; the
+command bodies keep only the rules that relate two flags or hold a flag to
+a library size cap.
+
 Exit codes: 0 success, 1 validation error (bad flags, a zero file that cannot
 be read or parsed, grid out of range), 2 computation error.
 """
@@ -45,6 +50,18 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         _log("error", "cli", message)
         raise SystemExit(1)
+
+
+def _flag(convert, rule: str, holds):
+    """An argparse ``type``: ``convert`` the text, refused unless ``holds`` (NaN never does)."""
+    def parse(text):
+        value = convert(text)
+        if not holds(value):
+            raise argparse.ArgumentTypeError(f"need {rule}, got {value}")
+        return value
+
+    parse.__name__ = convert.__name__  # argparse's "invalid int value: 'x'" names it
+    return parse
 
 
 def _check_path_flags(args) -> None:
@@ -153,8 +170,6 @@ def _resolve_zero_table(path_arg):
 
 
 def _cmd_sieve(args) -> int:
-    if args.limit < 2:
-        raise CliError(f"need limit >= 2, got {args.limit}")
     table = mangoldt.build_mangoldt(args.limit)
     _write_table(args.output, "n,lambda",
                  (f"{n},{_fmt(table.values[n])}\n" for n in range(1, args.limit + 1)))
@@ -181,15 +196,7 @@ def _build_tables(sieve_limit: int, wanted):
     return sieve, [build[method](sieve, k, limit) for method, k, limit in wanted]
 
 
-def _validate_k_limit(k: int, limit: int) -> None:
-    if k < 2:
-        raise CliError(f"need k >= 2, got {k}")
-    if limit < 2:
-        raise CliError(f"need limit >= 2, got {limit}")
-
-
 def _cmd_gk(args) -> int:
-    _validate_k_limit(args.k, args.limit)
     both = args.method == "both"
     methods = ("direct", "fft") if both else (args.method,)
     _, tables = _build_tables(args.limit, [(m, args.k, args.limit) for m in methods])
@@ -207,7 +214,6 @@ def _cmd_gk(args) -> int:
 
 
 def _cmd_sk(args) -> int:
-    _validate_k_limit(args.k, args.limit)
     _, (table,) = _build_tables(args.limit, [(args.method, args.k, args.limit)])
     prefix = goldbach.sk_prefix(table)
     _write_table(args.output, "X,S_k",
@@ -216,8 +222,6 @@ def _cmd_sk(args) -> int:
 
 
 def _cmd_residual(args) -> int:
-    _validate_k_limit(args.k, args.limit)
-
     def check(start, stop):
         if start < args.k:
             raise CliError(f"grid point {start} below k = {args.k}")
@@ -249,12 +253,6 @@ def _cmd_zeros_info(args) -> int:
 
 def _cmd_circle_check(args) -> int:
     n = args.n
-    if n < 2:
-        raise CliError(f"need n >= 2, got {n}")
-    if args.k < 2:
-        raise CliError(f"need k >= 2, got {args.k}")
-    if not 0.0 < args.delta < 1.0:
-        raise CliError(f"need 0 < delta < 1, got {args.delta}")
     nodes = args.nodes if args.nodes is not None else 8 * n
     if nodes < 4 * n:
         raise CliError(f"{nodes} nodes would alias; need at least 4N = {4 * n}")
@@ -304,10 +302,6 @@ def _primorial_exceeds(y: float, bound: int) -> bool:
 
 def _cmd_omega_scan(args) -> int:
     k = args.k
-    if k < 2:
-        raise CliError(f"need k >= 2, got {k}")
-    if args.y is not None and not args.y >= 2:
-        raise CliError(f"need y >= 2, got {args.y}")
 
     def check(start, stop):
         if start < 2:
@@ -335,6 +329,9 @@ def _cmd_omega_scan(args) -> int:
         if q.value >= 2 * x:
             _log("warning", "omega-scan",
                  f"q={q.value} >= 2x={2 * x}: progression classes mostly empty")
+        if k % 2 and q.value % 2 == 0:  # an odd number of units sums to an odd class
+            _log("warning", "omega-scan", f"k={k} is odd and q={q.value} even: the final "
+                                          f"row's class 0 is not a sum of k units mod q")
         report = omega.chain_check(sieve, gtables, float(x), q.value)
         head = f"{x},{report.q},{report.phi_q}"
         for level in report.levels:
@@ -354,8 +351,6 @@ def _cmd_omega_scan(args) -> int:
 
 
 def _cmd_identities(args) -> int:
-    if args.kmax < 2:
-        raise CliError(f"need kmax >= 2, got {args.kmax}")
     rows = identities.run_identity_suite(args.kmax)
     failures = 0
     for name, ok in rows:
@@ -383,29 +378,31 @@ def build_parser() -> _Parser:
                      description="Weighted Goldbach sums, zero-term oscillation, "
                                  "and circle-method diagnostics")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    k_flag = _flag(int, "k >= 2", lambda k: k >= 2)
+    limit_flag = _flag(int, "limit >= 2", lambda limit: limit >= 2)
 
     p = sub.add_parser("sieve", help="dump Lambda(n) up to a limit")
-    p.add_argument("--limit", type=int, required=True)
+    p.add_argument("--limit", type=limit_flag, required=True)
     p.add_argument("--output", default=None)
     p.set_defaults(func=_cmd_sieve)
 
     p = sub.add_parser("gk", help="build G_k tables")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--limit", type=int, required=True)
+    p.add_argument("--k", type=k_flag, required=True)
+    p.add_argument("--limit", type=limit_flag, required=True)
     p.add_argument("--method", choices=("direct", "fft", "both"), default="fft")
     p.add_argument("--output", default=None)
     p.set_defaults(func=_cmd_gk)
 
     p = sub.add_parser("sk", help="prefix sums S_k(X)")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--limit", type=int, required=True)
+    p.add_argument("--k", type=k_flag, required=True)
+    p.add_argument("--limit", type=limit_flag, required=True)
     p.add_argument("--method", choices=("direct", "fft"), default="fft")
     p.add_argument("--output", default=None)
     p.set_defaults(func=_cmd_sk)
 
     p = sub.add_parser("residual", help="S_k(X) - X^k/k! - H_k(X) report")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--limit", type=int, required=True)
+    p.add_argument("--k", type=k_flag, required=True)
+    p.add_argument("--limit", type=limit_flag, required=True)
     p.add_argument("--grid", required=True, help="geometric grid start:stop:ratio")
     p.add_argument("--zeros", default=None)
     p.add_argument("--output", default=None)
@@ -416,24 +413,26 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_zeros_info)
 
     p = sub.add_parser("circle-check", help="contour recovery and arc diagnostics")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_flag(int, "n >= 2", lambda n: n >= 2), required=True)
     p.add_argument("--nodes", type=int, default=None)
-    p.add_argument("--k", type=int, default=2)
-    p.add_argument("--delta", type=float, default=0.5)
+    p.add_argument("--k", type=k_flag, default=2)
+    p.add_argument("--delta", type=_flag(float, "0 < delta < 1", lambda delta: 0 < delta < 1),
+                   default=0.5)
     p.add_argument("--arc-csv", default=None)
     p.add_argument("--output", default=None)
     p.set_defaults(func=_cmd_circle_check)
 
     p = sub.add_parser("omega-scan", help="chain inequality and max-G scan")
-    p.add_argument("--k", type=int, default=2)
+    p.add_argument("--k", type=k_flag, default=2)
     p.add_argument("--x-grid", required=True, help="geometric grid start:stop:ratio")
-    p.add_argument("--y", type=float, default=None, help="prime cutoff for q")
+    p.add_argument("--y", type=_flag(float, "y >= 2", lambda y: y >= 2), default=None,
+                   help="prime cutoff for q")
     p.add_argument("--output", default=None)
     p.add_argument("--maxg-output", default=None)
     p.set_defaults(func=_cmd_omega_scan)
 
     p = sub.add_parser("identities", help="exact combinatorial identity suite")
-    p.add_argument("--kmax", type=int, default=25)
+    p.add_argument("--kmax", type=_flag(int, "kmax >= 2", lambda kmax: kmax >= 2), default=25)
     p.set_defaults(func=_cmd_identities)
 
     p = sub.add_parser("singular-series", help="local-density Euler product")

@@ -64,8 +64,8 @@ def progression_bound_check(table: MangoldtTable, x: float, q: int) -> Progressi
     units = unit_sumsets(q, 1)[0]
     phi_q = len(units)
     bound = x / (2.0 * phi_q)
-    psi = _class_sums(table, int(math.floor(2 * x)), q).tolist()
-    rows = tuple(ProgressionRow(residue=a, psi_value=psi[a], bound=bound) for a in units)
+    rows = tuple(ProgressionRow(residue=a, psi_value=psi_progression(table, 2 * x, q, a),
+                                bound=bound) for a in units)
     return ProgressionReport(x=x, q=q, phi_q=phi_q, rows=rows, vacuous=q >= 2 * x)
 
 
@@ -87,14 +87,6 @@ class ChainReport:
     final_lhs: float  # sum over n <= 2kx with q | n of G_k(n)
     final_rhs: float
     max_g: float
-
-
-def _class_sums(table, up_to: int, q: int) -> np.ndarray:
-    """psi_progression(table, up_to, q, b) for b = 0..q-1, indexed by b.
-
-    ``table`` is a Mangoldt or a G_k table; 0 <= up_to <= table.limit.
-    """
-    return np.array([psi_progression(table, up_to, q, b) for b in range(q)])
 
 
 def unit_sumsets(q: int, k: int) -> list[tuple[int, ...]]:
@@ -138,8 +130,10 @@ def chain_check(table: MangoldtTable, gtables: dict[int, GoldbachTable],
     exactly 0; a wrong fold or class sum shows as a gap, which the tests
     hold under 5u (u = 2^-53).
 
-    Past that one O(pi*(2x)) fold, each level costs one class sum: one
-    fsum per class over the G_L table up to 2Lx.
+    Every class sum is one psi_progression call, made only for the
+    classes read: psi on the units, each level's admissible residues and
+    the final class 0.  Past the one O(pi*(2x)) fold, each level costs one
+    fsum per admissible class over the G_L table up to 2Lx.
     """
     if q < 1:
         raise ValueError(f"need q >= 1, got {q}")
@@ -165,7 +159,7 @@ def chain_check(table: MangoldtTable, gtables: dict[int, GoldbachTable],
     # m <= 2x coprime to q, folded into their classes mod q by one fsum per
     # class; both are sums of Lambda >= 0
     m_top = int(math.floor(2 * x))
-    psi_units = _class_sums(table, m_top, q)[units]
+    psi_units = np.array([psi_progression(table, m_top, q, a) for a in coprime])
     powers = np.flatnonzero(table.values[: m_top + 1])
     powers = powers[np.gcd(powers, q) == 1]
     powers = powers[np.argsort(powers % q)]
@@ -175,9 +169,9 @@ def chain_check(table: MangoldtTable, gtables: dict[int, GoldbachTable],
 
     report_levels = []
     for level, residues in zip(range(2, k + 1), sumsets):
-        cls = _class_sums(gtables[level], int(math.floor(2 * level * x)), q)
         rhs = x**level / (2.0**level * phi_q)
-        min_lhs = float(cls[list(residues)].min())
+        top = int(math.floor(2 * level * x))
+        min_lhs = min(psi_progression(gtables[level], top, q, b) for b in residues)
         report_levels.append(ChainLevel(
             level=level,
             rhs=rhs,
@@ -186,10 +180,10 @@ def chain_check(table: MangoldtTable, gtables: dict[int, GoldbachTable],
             consistency_error=consistency,
         ))
 
-    # the last level's class 0: the multiples of q up to 2kx
-    final_lhs = float(cls[0])
+    # the last level's class 0: the multiples of q up to top = 2kx
+    final_lhs = psi_progression(gtables[k], top, q, 0)
     final_rhs = x**k / (2.0**k * phi_q)
-    max_g = float(np.max(gtables[k].values[: int(math.floor(2 * k * x)) + 1]))
+    max_g = float(np.max(gtables[k].values[: top + 1]))
     return ChainReport(
         x=x, q=q, phi_q=phi_q, levels=tuple(report_levels),
         final_lhs=final_lhs, final_rhs=final_rhs, max_g=max_g,

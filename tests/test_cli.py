@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from goldbachkit import BoundExceeded, circle, mangoldt
+from goldbachkit import BoundExceeded, circle, mangoldt, zeros
 from goldbachkit.cli import CliError, _parse_grid, _primorial_exceeds, main
 
 
@@ -328,6 +328,22 @@ def test_omega_scan(tmp_path, capsys):
     assert len(maxg_lines) == 3
 
 
+def test_omega_scan_odd_k_final_row_is_flagged(capsys):
+    # q = 210 is even, and a sum of 3 units mod 210 is odd: class 0, the
+    # final row, is not admissible at k = 3, and its margin is negative
+    warning = "k=3 is odd and q=210 even: the final row's class 0 is not a sum of k units mod q"
+    code, out, err = run_cli(capsys, "omega-scan", "--k", "3", "--x-grid", "10000:10000:2")
+    assert code == 0
+    assert err.count("level=warning") == 1 and warning in err
+    final = next(line for line in out.splitlines() if ",final," in line)
+    assert final.startswith("10000,210,48,final,") and float(final.split(",")[6]) < 0.0
+    for argv in (("--k", "2", "--x-grid", "10000:10000:2"),  # k even
+                 ("--k", "3", "--x-grid", "64:64:2", "--y", "2")):  # q = 1 is odd
+        code, _, err = run_cli(capsys, "omega-scan", *argv)
+        assert code == 0
+        assert err == ""
+
+
 def test_omega_scan_fallback_is_reported(tmp_path, capsys):
     # q = 210 (y = 11) is not below 2x = 128, so the maxG bound falls back
     # to the default modulus q = 6 while the chain rows keep q = 210
@@ -363,8 +379,23 @@ def test_omega_scan_fallback_is_reported(tmp_path, capsys):
     (("singular-series", "--k", "2", "--n", "1152921504606846976"),
      "need n < 18014398509481984"),
     (("omega-scan", "--x-grid", "64:64:2", "--y", "inf"), "exceeds 2k*x_max = 256"),
+    (("gk", "--k", "1", "--limit", "64"), "need k >= 2, got 1"),
+    (("gk", "--k", "2", "--limit", "1"), "need limit >= 2, got 1"),
+    (("sk", "--k", "1", "--limit", "64"), "need k >= 2, got 1"),
+    (("sk", "--k", "2", "--limit", "1"), "need limit >= 2, got 1"),
+    (("residual", "--k", "1", "--limit", "64", "--grid", "8:64:2"), "need k >= 2, got 1"),
+    (("residual", "--k", "2", "--limit", "1", "--grid", "8:64:2"), "need limit >= 2, got 1"),
+    (("circle-check", "--n", "1"), "need n >= 2, got 1"),
+    (("circle-check", "--n", "100", "--k", "1"), "need k >= 2, got 1"),
+    (("circle-check", "--n", "100", "--delta", "nan"), "need 0 < delta < 1, got nan"),
 ])
-def test_flag_errors_exit_1(capsys, argv, message):
+def test_flag_errors_exit_1(monkeypatch, capsys, argv, message):
+    # every flag error is found before a table is sieved or a zero table read
+    def refuse(*args):
+        raise MemoryError("worked before refusing the flags")
+
+    monkeypatch.setattr(mangoldt, "build_mangoldt", refuse)
+    monkeypatch.setattr(zeros, "bundled_zeros", refuse)
     code, _, err = run_cli(capsys, *argv)
     assert code == 1
     assert message in err

@@ -179,6 +179,18 @@ def test_hk_refuses_nan_x(zeros100):
         hk_zero_sum(zeros100, 2, math.nan)
 
 
+@pytest.mark.parametrize("k,x", [(2, 1e4), (3, 5e5), (5, 2.0**20)])
+def test_hk_tail_is_the_density_integral(zeros100, k, x):
+    # the tail estimate is 2k X^(k-1/2) times the integral of gamma^-k
+    # against the zero density log(gamma/2pi)/2pi beyond the last ordinate
+    quad = pytest.importorskip("scipy.integrate").quad
+    t = zeros100.gamma_max
+    integral, _ = quad(lambda g: g**-k * math.log(g / (2 * math.pi)) / (2 * math.pi),
+                       t, math.inf, epsabs=0.0, epsrel=1e-12, limit=200)
+    _, tail = hk_zero_sum(zeros100, k, x)
+    assert tail == pytest.approx(2 * k * x ** (k - 0.5) * integral, rel=1e-9)
+
+
 def test_granville_rk():
     rho = complex(0.5, GAMMA1)
     assert granville_rk(2, GAMMA1) == pytest.approx(-2.0 / rho, rel=1e-15)
